@@ -524,102 +524,41 @@ fn fuzz_streams_campaign_telemetry() {
     assert_eq!(body.matches("fuzz.case").count() % 5, 0, "{body}");
 }
 
-#[test]
-fn backend_flag_is_global_and_validated() {
-    // Unknown backend value is a usage error, wherever the flag sits.
-    assert_eq!(exit_code(&["--backend", "jit", "list"]), 2);
-    assert_eq!(exit_code(&["profile", "NVD-MT", "--backend"]), 2);
-}
-
-#[test]
-fn autotune_json_records_backend() {
-    let run = |backend: &str| {
-        let out = Command::new(BIN)
-            .args([
-                "autotune",
-                "NVD-MT",
-                "--device",
-                "SNB",
-                "--scale",
-                "test",
-                "--json",
-                "--backend",
-                backend,
-            ])
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).trim().to_string()
-    };
-    let interp = run("interp");
-    let bytecode = run("bytecode");
-    assert!(interp.contains("\"backend\":\"interp\""), "{interp}");
-    assert!(bytecode.contains("\"backend\":\"bytecode\""), "{bytecode}");
-    // The backends must reach the same decision on the same measurements.
-    assert_eq!(
-        interp.replace("\"backend\":\"interp\"", ""),
-        bytecode.replace("\"backend\":\"bytecode\"", "")
-    );
-}
-
-#[test]
-fn profile_json_identical_across_backends() {
-    let run = |backend: &str| {
-        let out = Command::new(BIN)
-            .args([
-                "--backend",
-                backend,
-                "profile",
-                "NVD-MT",
-                "--scale",
-                "test",
-                "--json",
-            ])
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).trim().to_string()
-    };
-    let interp = run("interp");
-    let bytecode = run("bytecode");
-    assert!(bytecode.contains("\"backend\":\"bytecode\""), "{bytecode}");
-    // Same kernels, same workload: every traffic counter must agree.
-    assert_eq!(
-        interp.replace("\"backend\":\"interp\"", ""),
-        bytecode.replace("\"backend\":\"bytecode\"", "")
-    );
-}
-
-#[test]
-fn fuzz_campaign_runs_on_bytecode_backend() {
-    let out = Command::new(BIN)
-        .args([
-            "fuzz",
-            "--seed",
-            "11",
-            "--cases",
-            "15",
-            "--json",
-            "--backend",
-            "bytecode",
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "{}",
+/// Run the CLI, demand success, and return its trimmed stdout.
+fn stdout_of(args: &[&str]) -> String {
+    let out = Command::new(BIN).args(args).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{args:?}: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"backend\":\"bytecode\""), "{stdout}");
-    assert!(stdout.contains("\"failures\":0"), "{stdout}");
+    String::from_utf8_lossy(&out.stdout).trim().to_string()
+}
+
+#[test]
+fn json_output_records_the_bytecode_engine() {
+    // Every command runs the one production engine and says so. That
+    // the interpreter reference agrees with it is checked by the
+    // library differential tests, not here.
+    let fuzz = stdout_of(&["fuzz", "--seed", "11", "--cases", "15", "--json"]);
+    assert!(fuzz.contains("\"failures\":0"), "{fuzz}");
+    for out in [
+        stdout_of(&[
+            "autotune", "NVD-MT", "--device", "SNB", "--scale", "test", "--json",
+        ]),
+        stdout_of(&["profile", "NVD-MT", "--scale", "test", "--json"]),
+        fuzz,
+    ] {
+        assert!(out.contains("\"backend\":\"bytecode\""), "{out}");
+    }
+}
+
+#[test]
+fn profile_ops_needs_no_backend_flag() {
+    let text = stdout_of(&["profile", "NVD-MT", "--ops", "--scale", "test"]);
+    assert!(text.contains("bytecode backend"), "{text}");
+    let json = stdout_of(&["profile", "NVD-MT", "--ops", "--scale", "test", "--json"]);
+    assert!(json.contains("\"total_charged\""), "{json}");
+    // The engine-selection flag is gone: it is now an unexpected argument.
+    assert_eq!(exit_code(&["profile", "NVD-MT", "--backend", "interp"]), 2);
 }

@@ -13,7 +13,7 @@ use crate::shrink::shrink;
 use crate::spec::{KernelSpec, ALL_POISONS};
 use grover_core::Sequence;
 use grover_obs::json::{array, Obj};
-use grover_obs::{Recorder, SpanGuard};
+use grover_obs::{Recorder, SpanGuard, NOOP};
 use grover_runtime::Backend;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -25,8 +25,6 @@ pub struct CampaignOptions {
     pub cases: u64,
     /// Where shrunk reproducers are written; `None` disables writing.
     pub out_dir: Option<PathBuf>,
-    /// Execution backend the oracle runs kernels on.
-    pub backend: Backend,
 }
 
 /// One failed case, after shrinking.
@@ -49,8 +47,6 @@ pub struct CaseFailure {
 pub struct Summary {
     pub seed: u64,
     pub cases: u64,
-    /// Execution backend the campaign ran on.
-    pub backend: Backend,
     /// Must-transform cases that verified bit-exactly.
     pub transformed: u64,
     /// Must-reject cases refused with the expected outcome.
@@ -88,7 +84,7 @@ impl Summary {
         Obj::new()
             .u64("seed", self.seed)
             .u64("cases", self.cases)
-            .str("backend", self.backend.name())
+            .str("backend", Backend::default().name())
             .u64("transformed", self.transformed)
             .u64("rejected", self.rejected)
             .u64("failures", self.failures.len() as u64)
@@ -119,7 +115,7 @@ impl Summary {
             "fuzz: seed {} ({}) — {} cases: {} transformed, {} rejected, {} failed \
              ({} sequence legs)",
             self.seed,
-            self.backend,
+            Backend::default(),
             self.cases,
             self.transformed,
             self.rejected,
@@ -156,17 +152,17 @@ fn write_reproducer(dir: &Path, seed: u64, case: u64, source: &str) -> Option<Pa
 }
 
 /// Run a campaign. Emits one `fuzz.campaign` span with a `fuzz.case` child
-/// per case on `rec` (free when the recorder is disabled).
+/// per case on `rec`, each case's launches nested under it as `launch`
+/// spans (free when the recorder is disabled).
 pub fn run_campaign(opts: &CampaignOptions, rec: &dyn Recorder) -> Summary {
     let root = SpanGuard::open(rec, "fuzz.campaign", None);
     root.attr("seed", opts.seed);
     root.attr("cases", opts.cases);
-    root.attr("backend", opts.backend.name());
+    root.attr("backend", Backend::default().name());
     let mut g = Gen::new(opts.seed);
     let mut summary = Summary {
         seed: opts.seed,
         cases: opts.cases,
-        backend: opts.backend,
         ..Summary::default()
     };
     for i in 0..opts.cases {
@@ -193,7 +189,7 @@ pub fn run_campaign(opts: &CampaignOptions, rec: &dyn Recorder) -> Summary {
                 .join(";")
                 .as_str(),
         );
-        let outcome = check_spec_seqs(&spec, opts.backend, &seqs);
+        let outcome = check_spec_seqs(&spec, &seqs, rec, Some(span.id()));
         match outcome.failure() {
             None => {
                 if spec.poison.is_none() {
@@ -209,12 +205,12 @@ pub fn run_campaign(opts: &CampaignOptions, rec: &dyn Recorder) -> Summary {
                 // re-derive the detail from the minimized spec.
                 let kind = f.kind;
                 let (min, steps) = shrink(&spec, |s| {
-                    check_spec_seqs(s, opts.backend, &seqs)
+                    check_spec_seqs(s, &seqs, &NOOP, None)
                         .failure()
                         .map(|f| f.kind)
                         == Some(kind)
                 });
-                let detail = check_spec_seqs(&min, opts.backend, &seqs)
+                let detail = check_spec_seqs(&min, &seqs, &NOOP, None)
                     .failure()
                     .map(|f| f.detail.clone())
                     .unwrap_or_else(|| f.detail.clone());
@@ -254,7 +250,7 @@ pub fn run_campaign(opts: &CampaignOptions, rec: &dyn Recorder) -> Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grover_obs::{MemoryRecorder, NOOP};
+    use grover_obs::MemoryRecorder;
 
     #[test]
     fn small_campaign_is_clean_and_deterministic() {
@@ -262,7 +258,6 @@ mod tests {
             seed: 7,
             cases: 20,
             out_dir: None,
-            backend: Backend::Interp,
         };
         let a = run_campaign(&opts, &NOOP);
         assert!(a.ok(), "{}", a.to_text());
@@ -278,19 +273,33 @@ mod tests {
     }
 
     #[test]
-    fn small_campaign_is_clean_on_bytecode() {
-        // Same cases as the interp campaign, judged three-way on the
-        // bytecode backend — and the counters must agree exactly.
+    fn default_campaign_checks_bytecode_against_the_interpreter() {
+        // No option picks the engine: every transform case re-executes
+        // both kernels on the bytecode engine after the interpreter
+        // reference legs, and the launch spans under each case say so.
+        let rec = MemoryRecorder::new();
         let opts = CampaignOptions {
             seed: 7,
-            cases: 20,
+            cases: 10,
             out_dir: None,
-            backend: Backend::Bytecode,
         };
-        let s = run_campaign(&opts, &NOOP);
+        let s = run_campaign(&opts, &rec);
         assert!(s.ok(), "{}", s.to_text());
-        assert_eq!((s.transformed, s.rejected), (16, 4));
-        assert!(s.to_json().contains("\"backend\":\"bytecode\""));
+        let snap = rec.snapshot();
+        let launches = |backend: &str| {
+            snap.spans_named("launch")
+                .iter()
+                .filter(|l| l.attr_str("backend") == Some(backend))
+                .count() as u64
+        };
+        assert_eq!(launches("bytecode"), 2 * s.transformed);
+        // Reference: original + transformed under two schedules per case,
+        // plus each sequence leg under both.
+        assert!(
+            launches("interp") >= 4 * s.transformed,
+            "{}",
+            launches("interp")
+        );
     }
 
     #[test]
@@ -310,7 +319,6 @@ mod tests {
             seed: 3,
             cases: 5,
             out_dir: None,
-            backend: Backend::Interp,
         };
         run_campaign(&opts, &rec);
         let snap = rec.snapshot();
@@ -334,7 +342,6 @@ mod tests {
                 seed: 1,
                 cases: 5,
                 out_dir: None,
-                backend: Backend::Interp,
             },
             &NOOP,
         );
@@ -342,7 +349,7 @@ mod tests {
         for key in [
             "\"seed\":1",
             "\"cases\":5",
-            "\"backend\":\"interp\"",
+            "\"backend\":\"bytecode\"",
             "\"failures\":0",
             "\"mismatches\":0",
             "\"sequences_raced\":",

@@ -2,9 +2,12 @@
 //!
 //! For a must-transform kernel: run the Grover pass, demand every local
 //! buffer is removed, then execute the original and the transformed kernel
-//! under both the serial and the parallel work-group schedule and compare
-//! the output buffers *bit for bit* (f32 bit patterns, not approximate
-//! equality — the rewrite replaces loads, it must not perturb arithmetic).
+//! on the interpreter reference under both the serial and the parallel
+//! work-group schedule and compare the output buffers *bit for bit* (f32
+//! bit patterns, not approximate equality — the rewrite replaces loads, it
+//! must not perturb arithmetic). Both kernels are then re-executed on the
+//! production bytecode engine, which must match that reference bit for
+//! bit.
 //!
 //! For a must-reject kernel: run the pass, demand the named buffer survives
 //! with the expected [`BufferOutcome`] kind and reason, and demand the IR is
@@ -18,8 +21,9 @@ use grover_core::{apply_sequence, Grover, GroverOptions, PassId, Sequence};
 use grover_frontend::{compile, BuildOptions};
 use grover_ir::printer::function_to_string;
 use grover_ir::Function;
+use grover_obs::{Recorder, SpanId, NOOP};
 use grover_runtime::{
-    enqueue_with_backend, ArgValue, Backend, Context, ExecPolicy, Limits, NdRange, NullSink,
+    enqueue_observed, ArgValue, Backend, Context, ExecPolicy, Limits, NdRange, NullSink,
 };
 
 /// What a kernel is expected to do under the pass.
@@ -138,26 +142,21 @@ fn nd_range(shape: &ExecShape) -> NdRange {
     }
 }
 
-/// Execute a kernel over the deterministic input; returns the output buffer.
+/// Execute a kernel on `backend` over the deterministic input; returns
+/// the output buffer. The launch records a `launch` span on `rec` (under
+/// `parent`), which names the backend.
 pub fn run_kernel(
     kernel: &Function,
     shape: &ExecShape,
     policy: ExecPolicy,
-) -> Result<Vec<f32>, String> {
-    run_kernel_backend(kernel, shape, policy, Backend::Interp)
-}
-
-/// [`run_kernel`] on an explicit execution backend.
-pub fn run_kernel_backend(
-    kernel: &Function,
-    shape: &ExecShape,
-    policy: ExecPolicy,
     backend: Backend,
+    rec: &dyn Recorder,
+    parent: Option<SpanId>,
 ) -> Result<Vec<f32>, String> {
     let mut ctx = Context::new();
     let bi = ctx.buffer_f32(&deterministic_input(shape.in_len));
     let bo = ctx.zeros_f32(shape.out_len);
-    enqueue_with_backend(
+    enqueue_observed(
         &mut ctx,
         kernel,
         &[
@@ -170,6 +169,9 @@ pub fn run_kernel_backend(
         &Limits::default(),
         policy,
         backend,
+        rec,
+        parent,
+        None,
     )
     .map_err(|e| e.to_string())?;
     Ok(ctx.read_f32(bo).to_vec())
@@ -184,36 +186,28 @@ fn first_bit_diff(a: &[f32], b: &[f32]) -> Option<usize> {
 
 /// Run one kernel source through the full pipeline and judge it against
 /// `expect`. `shape` is required for `Expectation::Transform`.
+///
+/// A transform case is a three-way check, all bit-exact: original vs
+/// transformed on the interpreter reference under both schedules, then
+/// both kernels re-executed on the production bytecode engine against
+/// that reference. Reject cases are never executed.
 pub fn check_source(src: &str, expect: &Expectation, shape: Option<&ExecShape>) -> CaseOutcome {
-    check_source_backend(src, expect, shape, Backend::Interp)
+    check_source_seqs(src, expect, shape, &[], &NOOP, None)
 }
 
-/// [`check_source`] with an execution backend. Under [`Backend::Interp`]
-/// this is the classic two-way differential (original vs transformed, both
-/// schedules). Under [`Backend::Bytecode`] it becomes a three-way check:
-/// original-interp vs transformed-interp vs both kernels re-executed on the
-/// bytecode backend, all bit-exact. Reject cases are backend-independent
-/// (never executed).
-pub fn check_source_backend(
-    src: &str,
-    expect: &Expectation,
-    shape: Option<&ExecShape>,
-    backend: Backend,
-) -> CaseOutcome {
-    check_source_seqs(src, expect, shape, backend, &[])
-}
-
-/// [`check_source_backend`] plus extra *sequence legs*: each sequence in
+/// [`check_source`] plus extra *sequence legs*: each sequence in
 /// `seqs` is applied to a fresh copy of the original kernel and must agree
 /// bit-exactly with the interpreter baseline under both schedules
 /// (transform cases) or leave the IR byte-identical (reject cases — every
-/// cleanup pass gates on a removal actually happening).
+/// cleanup pass gates on a removal actually happening). Every launch
+/// records a `launch` span on `rec` under `parent`.
 pub fn check_source_seqs(
     src: &str,
     expect: &Expectation,
     shape: Option<&ExecShape>,
-    backend: Backend,
     seqs: &[Sequence],
+    rec: &dyn Recorder,
+    parent: Option<SpanId>,
 ) -> CaseOutcome {
     let module = match compile(src, &BuildOptions::new()) {
         Ok(m) => m,
@@ -296,10 +290,13 @@ pub fn check_source_seqs(
                     "transform expectation needs launch geometry".to_string(),
                 );
             };
+            let run = |kernel: &Function, policy: ExecPolicy, backend: Backend| {
+                run_kernel(kernel, shape, policy, backend, rec, parent)
+            };
             let policies = [ExecPolicy::Serial, ExecPolicy::Parallel { threads: 2 }];
             let mut reference: Option<Vec<f32>> = None;
             for policy in policies {
-                let orig = match run_kernel(original, shape, policy) {
+                let orig = match run(original, policy, Backend::Interp) {
                     Ok(v) => v,
                     Err(e) => {
                         return fail(
@@ -308,7 +305,7 @@ pub fn check_source_seqs(
                         )
                     }
                 };
-                let trans = match run_kernel(&transformed, shape, policy) {
+                let trans = match run(&transformed, policy, Backend::Interp) {
                     Ok(v) => v,
                     Err(e) => {
                         return fail(
@@ -340,35 +337,30 @@ pub fn check_source_seqs(
                     }
                 }
             }
-            // Third leg: re-execute both kernels on the requested backend
+            // Third leg: re-execute both kernels on the production engine
             // and demand bit-identity with the interpreter reference.
-            if backend != Backend::Interp {
-                let reference = reference.as_deref().expect("policies is non-empty");
-                for (which, kernel) in [("original", original), ("transformed", &transformed)] {
-                    let alt = match run_kernel_backend(kernel, shape, ExecPolicy::Serial, backend) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            return fail(
-                                FailureKind::ExecError,
-                                format!("{which} ({backend}): {e}"),
-                            )
-                        }
-                    };
-                    if let Some(i) = first_bit_diff(reference, &alt) {
-                        return fail(
-                            FailureKind::Mismatch,
-                            format!(
-                                "backends differ: {which} interp vs {backend} at [{i}]: {} vs {}",
-                                reference.get(i).copied().unwrap_or(f32::NAN),
-                                alt.get(i).copied().unwrap_or(f32::NAN),
-                            ),
-                        );
+            let backend = Backend::default();
+            let reference = reference.expect("policies is non-empty");
+            for (which, kernel) in [("original", original), ("transformed", &transformed)] {
+                let alt = match run(kernel, ExecPolicy::Serial, backend) {
+                    Ok(v) => v,
+                    Err(e) => {
+                        return fail(FailureKind::ExecError, format!("{which} ({backend}): {e}"))
                     }
+                };
+                if let Some(i) = first_bit_diff(&reference, &alt) {
+                    return fail(
+                        FailureKind::Mismatch,
+                        format!(
+                            "backends differ: {which} interp vs {backend} at [{i}]: {} vs {}",
+                            reference.get(i).copied().unwrap_or(f32::NAN),
+                            alt.get(i).copied().unwrap_or(f32::NAN),
+                        ),
+                    );
                 }
             }
             // Sequence legs: every drawn legal sequence must compute the
             // interpreter baseline bit-exactly under both schedules.
-            let reference = reference.expect("policies is non-empty");
             for seq in seqs {
                 let mut seq_kernel = original.clone();
                 let pr = apply_sequence(&mut seq_kernel, seq, &GroverOptions::default());
@@ -379,7 +371,7 @@ pub fn check_source_seqs(
                     );
                 }
                 for policy in policies {
-                    let out = match run_kernel(&seq_kernel, shape, policy) {
+                    let out = match run(&seq_kernel, policy, Backend::Interp) {
                         Ok(v) => v,
                         Err(e) => {
                             return fail(
@@ -419,24 +411,25 @@ pub fn expectation_of(spec: &KernelSpec) -> Expectation {
 
 /// Render and judge a spec.
 pub fn check_spec(spec: &KernelSpec) -> CaseOutcome {
-    check_spec_backend(spec, Backend::Interp)
+    check_spec_seqs(spec, &[], &NOOP, None)
 }
 
-/// Render and judge a spec on an explicit execution backend.
-pub fn check_spec_backend(spec: &KernelSpec, backend: Backend) -> CaseOutcome {
-    check_spec_seqs(spec, backend, &[])
-}
-
-/// [`check_spec_backend`] with extra sequence legs (see
+/// [`check_spec`] with extra sequence legs and launch telemetry (see
 /// [`check_source_seqs`]).
-pub fn check_spec_seqs(spec: &KernelSpec, backend: Backend, seqs: &[Sequence]) -> CaseOutcome {
+pub fn check_spec_seqs(
+    spec: &KernelSpec,
+    seqs: &[Sequence],
+    rec: &dyn Recorder,
+    parent: Option<SpanId>,
+) -> CaseOutcome {
     let shape = spec.exec_shape();
     check_source_seqs(
         &spec.render(),
         &expectation_of(spec),
         Some(&shape),
-        backend,
         seqs,
+        rec,
+        parent,
     )
 }
 
@@ -570,7 +563,7 @@ mod tests {
         .iter()
         .map(|s| grover_core::Sequence::parse(s).unwrap())
         .collect();
-        let out = check_spec_seqs(&spec, Backend::Interp, &seqs);
+        let out = check_spec_seqs(&spec, &seqs, &NOOP, None);
         assert!(matches!(out, CaseOutcome::Transformed), "{out:?}");
     }
 
@@ -578,7 +571,7 @@ mod tests {
     fn sequence_legs_leave_rejected_kernels_untouched() {
         let spec = KernelSpec::random(&mut Gen::new(5), Some(ALL_POISONS[0]));
         let seqs = vec![grover_core::Sequence::tuned_pipeline()];
-        let out = check_spec_seqs(&spec, Backend::Interp, &seqs);
+        let out = check_spec_seqs(&spec, &seqs, &NOOP, None);
         assert!(matches!(out, CaseOutcome::Rejected), "{out:?}");
     }
 

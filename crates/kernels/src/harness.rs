@@ -6,8 +6,8 @@ use grover_frontend::compile;
 use grover_ir::Function;
 use grover_obs::{Recorder, SpanId};
 use grover_runtime::{
-    enqueue_observed_backend, enqueue_with_backend, Backend, Context, ExecPolicy, LaunchStats,
-    Limits, TraceSink,
+    enqueue_observed, enqueue_with_backend, Backend, Context, ExecPolicy, LaunchStats, Limits,
+    TraceSink,
 };
 
 use crate::apps::{App, Expected, Prepared, Scale};
@@ -63,33 +63,31 @@ pub fn prepare_pair(app: &App, scale: Scale) -> Result<KernelPair, String> {
 
 /// Result of one run.
 pub struct AppRun {
-    /// Interpreter launch statistics.
+    /// Launch statistics.
     pub stats: LaunchStats,
     /// Maximum relative error against the reference output.
     pub max_rel_err: f32,
 }
 
-/// Launch a kernel on a freshly prepared workload, stream the trace to
-/// `sink`, and compare the output buffer to the reference.
+/// Launch a kernel on a freshly prepared workload on the production
+/// engine ([`Backend::default`]), serially, stream the trace to `sink`,
+/// and compare the output buffer to the reference.
 pub fn run_prepared(
     kernel: &Function,
     prepared: Prepared,
     sink: &mut dyn TraceSink,
 ) -> Result<AppRun, String> {
-    run_prepared_with(kernel, prepared, sink, ExecPolicy::Serial)
+    run_prepared_backend(
+        kernel,
+        prepared,
+        sink,
+        ExecPolicy::Serial,
+        Backend::default(),
+    )
 }
 
-/// [`run_prepared`] under an explicit work-group schedule.
-pub fn run_prepared_with(
-    kernel: &Function,
-    prepared: Prepared,
-    sink: &mut dyn TraceSink,
-    policy: ExecPolicy,
-) -> Result<AppRun, String> {
-    run_prepared_backend(kernel, prepared, sink, policy, Backend::Interp)
-}
-
-/// [`run_prepared_with`] on an explicit execution [`Backend`].
+/// [`run_prepared`] under an explicit work-group schedule and execution
+/// [`Backend`].
 pub fn run_prepared_backend(
     kernel: &Function,
     mut prepared: Prepared,
@@ -111,33 +109,12 @@ pub fn run_prepared_backend(
     finish_run(prepared, stats)
 }
 
-/// [`run_prepared_with`] with telemetry: the launch records one `launch`
-/// span on `recorder` (under `parent`, if given) carrying per-space access
-/// counts, bytes and worker utilisation — see
+/// [`run_prepared_backend`] with telemetry: the launch records one
+/// `launch` span on `recorder` (under `parent`, if given) carrying the
+/// backend, per-space access counts, bytes and worker utilisation — see
 /// [`grover_runtime::enqueue_observed`]. With a disabled recorder this is
-/// exactly `run_prepared_with`.
+/// exactly `run_prepared_backend`.
 pub fn run_prepared_observed(
-    kernel: &Function,
-    prepared: Prepared,
-    sink: &mut dyn TraceSink,
-    policy: ExecPolicy,
-    recorder: &dyn Recorder,
-    parent: Option<SpanId>,
-) -> Result<AppRun, String> {
-    run_prepared_observed_backend(
-        kernel,
-        prepared,
-        sink,
-        policy,
-        Backend::Interp,
-        recorder,
-        parent,
-    )
-}
-
-/// [`run_prepared_observed`] on an explicit execution [`Backend`]; the
-/// launch span records the backend.
-pub fn run_prepared_observed_backend(
     kernel: &Function,
     mut prepared: Prepared,
     sink: &mut dyn TraceSink,
@@ -146,7 +123,7 @@ pub fn run_prepared_observed_backend(
     recorder: &dyn Recorder,
     parent: Option<SpanId>,
 ) -> Result<AppRun, String> {
-    let stats = enqueue_observed_backend(
+    let stats = enqueue_observed(
         &mut prepared.ctx,
         kernel,
         &prepared.args,
@@ -157,6 +134,7 @@ pub fn run_prepared_observed_backend(
         backend,
         recorder,
         parent,
+        None,
     )
     .map_err(|e| format!("execution failed: {e}"))?;
     finish_run(prepared, stats)

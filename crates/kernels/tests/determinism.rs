@@ -5,7 +5,7 @@
 
 use grover_kernels::{all_apps, prepare_pair, Scale};
 use grover_runtime::{
-    enqueue_with_policy, BufferData, ExecPolicy, LaunchStats, Limits, NullSink, VecSink,
+    enqueue_with_backend, Backend, BufferData, ExecPolicy, LaunchStats, Limits, NullSink, VecSink,
 };
 
 /// Output buffer as raw bits, so the comparison is bit-exact even for f32.
@@ -24,7 +24,7 @@ fn launch(
 ) -> (LaunchStats, VecSink, Vec<u64>) {
     let mut prepared = (app.prepare)(Scale::Test);
     let mut sink = VecSink::default();
-    let stats = enqueue_with_policy(
+    let stats = enqueue_with_backend(
         &mut prepared.ctx,
         kernel,
         &prepared.args,
@@ -32,6 +32,7 @@ fn launch(
         &mut sink,
         &Limits::default(),
         policy,
+        Backend::default(),
     )
     .unwrap_or_else(|e| panic!("{} under {policy:?}: {e}", app.id));
     let bits = out_bits(&prepared);
@@ -100,7 +101,7 @@ fn parallel_null_sink_still_produces_identical_outputs() {
 
     let run = |policy| {
         let mut prepared = (app.prepare)(Scale::Test);
-        let stats = enqueue_with_policy(
+        let stats = enqueue_with_backend(
             &mut prepared.ctx,
             &pair.original,
             &prepared.args,
@@ -108,6 +109,7 @@ fn parallel_null_sink_still_produces_identical_outputs() {
             &mut NullSink,
             &Limits::default(),
             policy,
+            Backend::default(),
         )
         .unwrap();
         (stats, out_bits(&prepared))

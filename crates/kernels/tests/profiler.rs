@@ -22,7 +22,8 @@ fn profile_one(
 ) -> (u64, Option<OpProfile>) {
     let p = (app.prepare)(Scale::Test);
     let mut ctx = p.ctx;
-    let (stats, profile) = grover_runtime::enqueue_profiled(
+    let mut profile = None;
+    let stats = grover_runtime::enqueue_observed(
         &mut ctx,
         kernel,
         &p.args,
@@ -31,6 +32,9 @@ fn profile_one(
         &grover_runtime::Limits::default(),
         policy,
         backend,
+        &grover_obs::NOOP,
+        None,
+        Some(&mut profile),
     )
     .unwrap_or_else(|e| panic!("{} [{}/{:?}]: {e}", app.id, backend, policy));
     (stats.instructions, profile)

@@ -6,7 +6,7 @@
 
 use grover_kernels::{all_apps, prepare_pair, run_prepared_observed, Scale};
 use grover_obs::{MemoryRecorder, Snapshot};
-use grover_runtime::{ExecPolicy, NullSink};
+use grover_runtime::{Backend, ExecPolicy, NullSink};
 
 /// The deterministic launch-span metrics (everything except wall time,
 /// worker count/utilisation and the policy tag).
@@ -37,8 +37,16 @@ fn observed_snapshot(
     policy: ExecPolicy,
 ) -> Snapshot {
     let rec = MemoryRecorder::new();
-    run_prepared_observed(kernel, prepared, &mut NullSink, policy, &rec, None)
-        .unwrap_or_else(|e| panic!("{e}"));
+    run_prepared_observed(
+        kernel,
+        prepared,
+        &mut NullSink,
+        policy,
+        Backend::default(),
+        &rec,
+        None,
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
     rec.snapshot()
 }
 

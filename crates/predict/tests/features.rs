@@ -5,9 +5,7 @@
 //! and the counters themselves must be schedule-independent
 //! (serial ≡ parallel).
 
-use grover_kernels::{
-    all_apps, extension_apps, prepare_pair, run_prepared_observed_backend, App, Scale,
-};
+use grover_kernels::{all_apps, extension_apps, prepare_pair, run_prepared_observed, App, Scale};
 use grover_obs::NoopRecorder;
 use grover_predict::{schema_hash, FeatureVector, FEATURE_NAMES};
 use grover_runtime::{Backend, CountingSink, ExecPolicy};
@@ -24,12 +22,12 @@ fn observe(app: &App, policy: ExecPolicy) -> CountingSink {
     let pair = prepare_pair(app, Scale::Test).expect("suite app prepares");
     let prepared = (app.prepare)(Scale::Test);
     let mut sink = CountingSink::default();
-    run_prepared_observed_backend(
+    run_prepared_observed(
         &pair.original,
         prepared,
         &mut sink,
         policy,
-        Backend::Interp,
+        Backend::default(),
         &NoopRecorder,
         None,
     )

@@ -44,16 +44,18 @@ use crate::ExecError;
 
 /// Which execution engine a launch runs on.
 ///
-/// Both backends produce bit-identical output buffers,
-/// [`LaunchStats`](crate::LaunchStats) and trace streams for verified
-/// kernels; `Bytecode` lowers the kernel once per launch and executes the
-/// lowered form in a tight dispatch loop.
+/// `Bytecode` — the [`Default`] — is the production engine: it lowers the
+/// kernel once per launch and executes the lowered form in a tight
+/// dispatch loop. `Interp` is kept only as the differential reference the
+/// fuzz oracle and the differential tests compare against. Both produce
+/// bit-identical output buffers, [`LaunchStats`](crate::LaunchStats) and
+/// trace streams for verified kernels.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
-    /// The tree-walking NDRange interpreter (the reference engine).
-    #[default]
+    /// The tree-walking NDRange interpreter (the differential reference).
     Interp,
-    /// The compiled register-bytecode engine.
+    /// The compiled register-bytecode engine (the production engine).
+    #[default]
     Bytecode,
 }
 
@@ -63,15 +65,6 @@ impl Backend {
         match self {
             Backend::Interp => "interp",
             Backend::Bytecode => "bytecode",
-        }
-    }
-
-    /// Parse a backend name as accepted by the CLI `--backend` flag.
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s {
-            "interp" => Some(Backend::Interp),
-            "bytecode" => Some(Backend::Bytecode),
-            _ => None,
         }
     }
 }

@@ -2,8 +2,10 @@
 //! (compiled only with the `fault-injection` cargo feature).
 //!
 //! A [`FaultPlan`] names a *target* (which kernels), a *site* (where inside
-//! a launch) and a *kind* (what goes wrong). Tests [`inject`] a plan, run
-//! the scenario, and drop the returned [`FaultGuard`]; the engine consults
+//! a launch) and a *kind* (what goes wrong); an [`IoFaultPlan`] names an
+//! I/O site of the persistence code instead. Tests [`inject`] (or
+//! [`inject_io`]) a plan, run the scenario, and drop the returned
+//! [`FaultGuard`]; the engine consults
 //! the active plan once per launch and at cheap, well-defined points, so
 //! every recovery path — panic isolation, the tuner's differential-output
 //! guard, the measurement watchdog and the retry loop — is deterministically
@@ -150,16 +152,8 @@ pub(crate) struct Installed {
 }
 
 impl Installed {
-    /// Consume one fire; `false` once `max_fires` is exhausted.
-    fn arm(&self) -> bool {
-        if self.plan.max_fires == 0 {
-            return true;
-        }
-        self.fires.fetch_add(1, Ordering::Relaxed) < self.plan.max_fires
-    }
-
     fn fire(&self, where_: &str) -> Result<(), ExecError> {
-        if !self.arm() {
+        if !arm(&self.fires, self.plan.max_fires) {
             return Ok(());
         }
         match &self.plan.kind {
@@ -176,44 +170,69 @@ impl Installed {
     }
 }
 
-/// Only one plan may be active at a time; `inject` holds this lock for the
-/// guard's lifetime so concurrent tests serialise instead of clobbering
-/// each other's plans.
-static INJECT_LOCK: Mutex<()> = Mutex::new(());
-static ACTIVE: RwLock<Option<Arc<Installed>>> = RwLock::new(None);
+/// Consume one fire; `false` once `max_fires` (`0` = unlimited) is
+/// exhausted.
+fn arm(fires: &AtomicU32, max_fires: u32) -> bool {
+    max_fires == 0 || fires.fetch_add(1, Ordering::Relaxed) < max_fires
+}
 
-/// Keeps a [`FaultPlan`] active; dropping it uninstalls the plan.
+/// The one plan the process's fault domain holds: a launch plan or an
+/// I/O plan, never both.
+enum Active {
+    Launch(Arc<Installed>),
+    Io(Arc<InstalledIo>),
+}
+
+/// Launch and I/O plans share one lock domain. A guard holds the lock for
+/// its whole lifetime, so concurrent tests serialise instead of firing
+/// their plans into each other's scenarios — whichever kind each injects.
+static INJECT_LOCK: Mutex<()> = Mutex::new(());
+static ACTIVE: RwLock<Option<Active>> = RwLock::new(None);
+
+/// Keeps a plan active and the fault domain held; dropping it uninstalls
+/// the plan and releases the domain.
 pub struct FaultGuard {
     _lock: MutexGuard<'static, ()>,
 }
 
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
+impl FaultGuard {
+    /// Uninstall the plan but keep holding the domain, so the fault-free
+    /// rest of a scenario cannot be hit by another test's plan.
+    pub fn clear(&self) {
         *ACTIVE.write().unwrap_or_else(|e| e.into_inner()) = None;
     }
 }
 
-/// Install `plan` for the lifetime of the returned guard. Blocks while
-/// another guard is alive.
-pub fn inject(plan: FaultPlan) -> FaultGuard {
+impl Drop for FaultGuard {
+    fn drop(&mut self) {
+        self.clear();
+    }
+}
+
+fn install(active: Active) -> FaultGuard {
     // A previous holder may have panicked (that is the point of this
     // module); the data behind the lock is just a token, so poisoning
     // carries no meaning here.
     let lock = INJECT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    *ACTIVE.write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::new(Installed {
+    *ACTIVE.write().unwrap_or_else(|e| e.into_inner()) = Some(active);
+    FaultGuard { _lock: lock }
+}
+
+/// Install `plan` for the lifetime of the returned guard. Blocks while
+/// another guard — launch or I/O — is alive.
+pub fn inject(plan: FaultPlan) -> FaultGuard {
+    install(Active::Launch(Arc::new(Installed {
         plan,
         fires: AtomicU32::new(0),
-    }));
-    FaultGuard { _lock: lock }
+    })))
 }
 
 /// The active plan, if it targets `kernel`. Resolved once per launch.
 pub(crate) fn for_kernel(kernel: &Function) -> Option<Arc<Installed>> {
-    let active = ACTIVE.read().unwrap_or_else(|e| e.into_inner());
-    active
-        .as_ref()
-        .filter(|i| i.plan.target.matches(kernel))
-        .cloned()
+    match &*ACTIVE.read().unwrap_or_else(|e| e.into_inner()) {
+        Some(Active::Launch(i)) if i.plan.target.matches(kernel) => Some(i.clone()),
+        _ => None,
+    }
 }
 
 /// Launch-entry hook. Returns whether stores of the whole launch corrupt.
@@ -289,8 +308,8 @@ pub enum IoFaultKind {
 ///
 /// Unlike [`FaultPlan`], which targets kernel launches, an [`IoFaultPlan`]
 /// targets persistence operations by site name (e.g. `"journal.append"`,
-/// `"journal.fsync"`). The two plan kinds use independent slots, so a test
-/// can fail the tuner *and* the journal at once.
+/// `"journal.fsync"`). Both plan kinds share one slot: a test fails either
+/// the tuner or the journal, never both at once.
 #[derive(Clone, Debug)]
 pub struct IoFaultPlan {
     /// The site name the consuming code passes to [`io_fault`].
@@ -306,29 +325,13 @@ struct InstalledIo {
     fires: AtomicU32,
 }
 
-static IO_INJECT_LOCK: Mutex<()> = Mutex::new(());
-static IO_ACTIVE: RwLock<Option<Arc<InstalledIo>>> = RwLock::new(None);
-
-/// Keeps an [`IoFaultPlan`] active; dropping it uninstalls the plan.
-pub struct IoFaultGuard {
-    _lock: MutexGuard<'static, ()>,
-}
-
-impl Drop for IoFaultGuard {
-    fn drop(&mut self) {
-        *IO_ACTIVE.write().unwrap_or_else(|e| e.into_inner()) = None;
-    }
-}
-
 /// Install `plan` for the lifetime of the returned guard. Blocks while
-/// another I/O guard is alive (kernel-launch plans are unaffected).
-pub fn inject_io(plan: IoFaultPlan) -> IoFaultGuard {
-    let lock = IO_INJECT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    *IO_ACTIVE.write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::new(InstalledIo {
+/// another guard — launch or I/O — is alive.
+pub fn inject_io(plan: IoFaultPlan) -> FaultGuard {
+    install(Active::Io(Arc::new(InstalledIo {
         plan,
         fires: AtomicU32::new(0),
-    }));
-    IoFaultGuard { _lock: lock }
+    })))
 }
 
 /// Consult the active I/O plan at `site`.
@@ -338,12 +341,11 @@ pub fn inject_io(plan: IoFaultPlan) -> IoFaultGuard {
 ///   then report failure.
 /// * `Err(e)` — short-circuit: fail without touching the file.
 pub fn io_fault(site: &str) -> Result<Option<usize>, std::io::Error> {
-    let active = IO_ACTIVE.read().unwrap_or_else(|e| e.into_inner());
-    let Some(inst) = active.as_ref().filter(|i| i.plan.site == site) else {
-        return Ok(None);
+    let inst = match &*ACTIVE.read().unwrap_or_else(|e| e.into_inner()) {
+        Some(Active::Io(i)) if i.plan.site == site => i.clone(),
+        _ => return Ok(None),
     };
-    if inst.plan.max_fires != 0 && inst.fires.fetch_add(1, Ordering::Relaxed) >= inst.plan.max_fires
-    {
+    if !arm(&inst.fires, inst.plan.max_fires) {
         return Ok(None);
     }
     match &inst.plan.kind {

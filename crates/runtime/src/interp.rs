@@ -6,8 +6,12 @@
 //! Work-groups of one launch are independent (OpenCL gives no ordering or
 //! synchronisation between groups), so the engine can execute them either
 //! serially on the calling thread or partitioned across a pool of worker
-//! threads — see [`ExecPolicy`] and [`enqueue_with_policy`]. Both schedules
+//! threads — see [`ExecPolicy`] and [`enqueue_with_backend`]. Both schedules
 //! produce bit-identical output buffers, [`LaunchStats`] and trace streams.
+//!
+//! The same launch engine drives the production bytecode engine
+//! ([`crate::bytecode`]); the tree-walking interpreter in this module is
+//! the differential reference it is checked against.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -464,8 +468,9 @@ fn delinearize(gl: usize, ng: [u64; 3]) -> [u64; 3] {
     [gl % ng[0], (gl / ng[0]) % ng[1], gl / (ng[0] * ng[1])]
 }
 
-/// Launch a kernel (the `clEnqueueNDRangeKernel` + `clFinish` pair),
-/// running work-groups serially on the calling thread.
+/// Launch a kernel (the `clEnqueueNDRangeKernel` + `clFinish` pair) on the
+/// production engine ([`Backend::default`]), running work-groups serially
+/// on the calling thread.
 pub fn enqueue(
     ctx: &mut Context,
     kernel: &Function,
@@ -474,44 +479,27 @@ pub fn enqueue(
     sink: &mut dyn TraceSink,
     limits: &Limits,
 ) -> Result<LaunchStats, ExecError> {
-    enqueue_with_policy(ctx, kernel, args, nd, sink, limits, ExecPolicy::Serial)
-}
-
-/// Launch a kernel under an explicit scheduling [`ExecPolicy`].
-///
-/// See [`ExecPolicy`] for the determinism guarantees. On failure the error
-/// of the lowest-numbered failing group is returned (the same one the
-/// serial schedule would report), and the sink has observed the complete
-/// event streams of every group before it.
-pub fn enqueue_with_policy(
-    ctx: &mut Context,
-    kernel: &Function,
-    args: &[ArgValue],
-    nd: &NdRange,
-    sink: &mut dyn TraceSink,
-    limits: &Limits,
-    policy: ExecPolicy,
-) -> Result<LaunchStats, ExecError> {
-    enqueue_impl(
+    enqueue_with_backend(
         ctx,
         kernel,
         args,
         nd,
         sink,
         limits,
-        policy,
-        Backend::Interp,
-        None,
-        None,
+        ExecPolicy::Serial,
+        Backend::default(),
     )
 }
 
 /// Launch a kernel under an explicit scheduling [`ExecPolicy`] and
 /// execution [`Backend`].
 ///
-/// Both backends produce bit-identical output buffers, [`LaunchStats`] and
-/// trace streams for well-formed kernels; the bytecode backend merely
-/// executes a pre-lowered form of the kernel in a tighter dispatch loop.
+/// See [`ExecPolicy`] for the determinism guarantees. On failure the error
+/// of the lowest-numbered failing group is returned (the same one the
+/// serial schedule would report), and the sink has observed the complete
+/// event streams of every group before it. Both backends produce
+/// bit-identical output buffers, [`LaunchStats`] and trace streams for
+/// well-formed kernels.
 #[allow(clippy::too_many_arguments)]
 pub fn enqueue_with_backend(
     ctx: &mut Context,
@@ -528,44 +516,7 @@ pub fn enqueue_with_backend(
     )
 }
 
-/// Launch a kernel like [`enqueue_with_backend`] while collecting a
-/// per-opcode execution profile.
-///
-/// Profiling is only implemented by the bytecode backend: with
-/// [`Backend::Bytecode`] and a successful launch, the returned profile is
-/// `Some` and its `total_charged` equals the launch's
-/// [`LaunchStats::instructions`] exactly; with [`Backend::Interp`] (or on
-/// a failed launch) it is `None`. Counts are aggregated by plain addition
-/// across work-items and workers, so the profile is bit-identical under
-/// [`ExecPolicy::Serial`] and [`ExecPolicy::Parallel`].
-#[allow(clippy::too_many_arguments)]
-pub fn enqueue_profiled(
-    ctx: &mut Context,
-    kernel: &Function,
-    args: &[ArgValue],
-    nd: &NdRange,
-    sink: &mut dyn TraceSink,
-    limits: &Limits,
-    policy: ExecPolicy,
-    backend: Backend,
-) -> Result<(LaunchStats, Option<bytecode::OpProfile>), ExecError> {
-    let mut profile = None;
-    let stats = enqueue_impl(
-        ctx,
-        kernel,
-        args,
-        nd,
-        sink,
-        limits,
-        policy,
-        backend,
-        None,
-        Some(&mut profile),
-    )?;
-    Ok((stats, profile))
-}
-
-/// The launch engine behind [`enqueue_with_policy`] and
+/// The launch engine behind [`enqueue_with_backend`] and
 /// [`crate::obs::enqueue_observed`]. When `workers_out` is `Some`, each
 /// worker additionally times its group executions and pushes one
 /// [`WorkerStat`] (the serial engine pushes exactly one); when `None` —

@@ -9,9 +9,17 @@
 //! * [`enqueue`] launches a kernel over an [`NdRange`] with full work-group
 //!   semantics: work-items of a group execute serially between barriers and
 //!   rendezvous at each [`grover_ir::value::Inst::Barrier`].
-//! * [`enqueue_with_policy`] additionally chooses a work-group schedule
-//!   ([`ExecPolicy`]): serial, or partitioned across a pool of worker
-//!   threads with deterministic (group-linear) trace replay.
+//! * [`enqueue_with_backend`] additionally chooses a work-group schedule
+//!   ([`ExecPolicy`]) — serial, or partitioned across a pool of worker
+//!   threads with deterministic (group-linear) trace replay — and an
+//!   execution engine ([`Backend`]).
+//! * [`enqueue_observed`] records the launch as a telemetry span and can
+//!   collect a per-opcode [`OpProfile`].
+//!
+//! Every production launch runs the register-bytecode engine
+//! ([`Backend::default`]). The tree-walking interpreter
+//! ([`Backend::Interp`]) stays only as the differential reference the
+//! bytecode engine is checked against; both are bit-identical.
 //! * Every memory access streams an [`AccessEvent`] into a [`TraceSink`];
 //!   the device simulator (`grover-devsim`) replays these events against
 //!   cache/scratch-pad models to estimate per-device performance.
@@ -54,10 +62,9 @@ pub mod val;
 pub use buffer::{Buffer, BufferData, Context};
 pub use bytecode::{disassemble, Backend, BlockProfile, OpKindProfile, OpProfile};
 pub use interp::{
-    enqueue, enqueue_profiled, enqueue_with_backend, enqueue_with_policy, ArgValue, ExecPolicy,
-    LaunchStats, Limits, NdRange, WorkerStat,
+    enqueue, enqueue_with_backend, ArgValue, ExecPolicy, LaunchStats, Limits, NdRange, WorkerStat,
 };
-pub use obs::{enqueue_observed, enqueue_observed_backend, enqueue_observed_profiled};
+pub use obs::enqueue_observed;
 pub use trace::{AccessEvent, CountingSink, NullSink, SpaceBytes, TraceOp, TraceSink, VecSink};
 pub use val::{PtrVal, Val};
 

@@ -53,74 +53,32 @@ impl TraceSink for TeeSink<'_> {
     }
 }
 
-/// Launch a kernel like [`crate::enqueue_with_policy`], recording one
+/// Launch a kernel like [`crate::enqueue_with_backend`], recording one
 /// `launch` span (under `parent`, if given) on `recorder`.
 ///
-/// Span attributes on success: `kernel`, `policy`, `workers`, the geometry
-/// (`work_groups`, `work_items`), `instructions`, `barriers`, per-space
-/// access counts (`global_loads`, `local_stores`, ...), per-space byte
-/// tallies (`global_bytes_loaded`, ...), totals (`bytes_loaded`,
+/// Span attributes on success: `kernel`, `policy`, `workers`, `backend`,
+/// the geometry (`work_groups`, `work_items`), `instructions`, `barriers`,
+/// per-space access counts (`global_loads`, `local_stores`, ...), per-space
+/// byte tallies (`global_bytes_loaded`, ...), totals (`bytes_loaded`,
 /// `bytes_stored`) and `wall_us`. On failure the metrics observed up to
 /// the error are still recorded, plus `error`. Each worker additionally
 /// emits one `worker` event with `groups`, `busy_us`, `max_group_us` and
 /// `util` (busy time over launch wall time).
-#[allow(clippy::too_many_arguments)]
-pub fn enqueue_observed(
-    ctx: &mut Context,
-    kernel: &Function,
-    args: &[ArgValue],
-    nd: &NdRange,
-    sink: &mut dyn TraceSink,
-    limits: &Limits,
-    policy: ExecPolicy,
-    recorder: &dyn Recorder,
-    parent: Option<SpanId>,
-) -> Result<LaunchStats, ExecError> {
-    enqueue_observed_backend(
-        ctx,
-        kernel,
-        args,
-        nd,
-        sink,
-        limits,
-        policy,
-        Backend::Interp,
-        recorder,
-        parent,
-    )
-}
-
-/// [`enqueue_observed`] with an explicit execution [`Backend`]; the launch
-/// span additionally records a `backend` attribute.
-#[allow(clippy::too_many_arguments)]
-pub fn enqueue_observed_backend(
-    ctx: &mut Context,
-    kernel: &Function,
-    args: &[ArgValue],
-    nd: &NdRange,
-    sink: &mut dyn TraceSink,
-    limits: &Limits,
-    policy: ExecPolicy,
-    backend: Backend,
-    recorder: &dyn Recorder,
-    parent: Option<SpanId>,
-) -> Result<LaunchStats, ExecError> {
-    enqueue_observed_profiled(
-        ctx, kernel, args, nd, sink, limits, policy, backend, recorder, parent, None,
-    )
-}
-
-/// [`enqueue_observed_backend`] with optional per-opcode profiling.
 ///
 /// When `profile_out` is `Some` and the backend is [`Backend::Bytecode`],
-/// a successful launch writes its [`OpProfile`] through `profile_out` and
-/// (when the recorder is enabled) emits one `profile` event on the launch
-/// span with `total_count`/`total_charged` plus `count.<kind>` and
-/// `charged.<kind>` attributes per executed opcode kind — the `profile`
-/// section tune spans carry. With the interpreter backend, or on a failed
-/// launch, `profile_out` is left as it was.
+/// a successful launch writes its per-opcode [`OpProfile`] through
+/// `profile_out` — its `total_charged` equals the launch's
+/// [`LaunchStats::instructions`] exactly, and it is bit-identical under
+/// every [`ExecPolicy`] — and (when the recorder is enabled) emits one
+/// `profile` event on the launch span with `total_count`/`total_charged`
+/// plus `count.<kind>` and `charged.<kind>` attributes per executed
+/// opcode kind. With the interpreter reference, or on a failed launch,
+/// `profile_out` is left as it was.
+///
+/// With the recorder disabled (e.g. [`grover_obs::NoopRecorder`]) this is
+/// exactly [`crate::enqueue_with_backend`] plus the optional profile.
 #[allow(clippy::too_many_arguments)]
-pub fn enqueue_observed_profiled(
+pub fn enqueue_observed(
     ctx: &mut Context,
     kernel: &Function,
     args: &[ArgValue],

@@ -9,7 +9,8 @@ use std::time::Duration;
 use grover_frontend::{compile, BuildOptions};
 use grover_ir::Function;
 use grover_runtime::{
-    enqueue_with_policy, ArgValue, Context, ExecError, ExecPolicy, Limits, NdRange, NullSink,
+    enqueue_with_backend, ArgValue, Backend, Context, ExecError, ExecPolicy, Limits, NdRange,
+    NullSink,
 };
 
 fn kernel(src: &str) -> Function {
@@ -32,7 +33,7 @@ fn for_each_policy(
     for policy in POLICIES {
         let mut ctx = Context::new();
         let a = ctx.zeros_i32(8);
-        let res = enqueue_with_policy(
+        let res = enqueue_with_backend(
             &mut ctx,
             k,
             &[ArgValue::Buffer(a)],
@@ -40,6 +41,7 @@ fn for_each_policy(
             &mut NullSink,
             limits,
             policy,
+            Backend::default(),
         )
         .map(|_| ());
         check(policy, res);
@@ -210,7 +212,7 @@ fn first_failing_group_wins_under_parallel() {
     for policy in POLICIES {
         let mut ctx = Context::new();
         let a = ctx.zeros_i32(8);
-        let err = enqueue_with_policy(
+        let err = enqueue_with_backend(
             &mut ctx,
             &k,
             &[ArgValue::Buffer(a)],
@@ -218,6 +220,7 @@ fn first_failing_group_wins_under_parallel() {
             &mut NullSink,
             &Limits::default(),
             policy,
+            Backend::default(),
         )
         .unwrap_err();
         assert_eq!(
@@ -243,7 +246,7 @@ fn arg_count_same_under_both_policies() {
     for policy in POLICIES {
         let mut ctx = Context::new();
         let a = ctx.zeros_i32(8);
-        let err = enqueue_with_policy(
+        let err = enqueue_with_backend(
             &mut ctx,
             &k,
             &[ArgValue::Buffer(a)],
@@ -251,6 +254,7 @@ fn arg_count_same_under_both_policies() {
             &mut NullSink,
             &Limits::default(),
             policy,
+            Backend::default(),
         )
         .unwrap_err();
         assert_eq!(

@@ -13,7 +13,8 @@ use grover_frontend::{compile, BuildOptions};
 use grover_ir::Function;
 use grover_runtime::fault::{self, FaultKind, FaultPlan, FaultSite, FaultTarget};
 use grover_runtime::{
-    enqueue_with_policy, ArgValue, Context, ExecError, ExecPolicy, Limits, NdRange, NullSink,
+    enqueue_with_backend, ArgValue, Backend, Context, ExecError, ExecPolicy, Limits, NdRange,
+    NullSink,
 };
 
 const POLICIES: [ExecPolicy; 2] = [ExecPolicy::Serial, ExecPolicy::Parallel { threads: 4 }];
@@ -35,7 +36,7 @@ fn store_kernel(name: &str) -> Function {
 fn launch(k: &Function, policy: ExecPolicy, limits: &Limits) -> (Context, Result<(), ExecError>) {
     let mut ctx = Context::new();
     let a = ctx.zeros_i32(8);
-    let res = enqueue_with_policy(
+    let res = enqueue_with_backend(
         &mut ctx,
         k,
         &[ArgValue::Buffer(a)],
@@ -43,6 +44,7 @@ fn launch(k: &Function, policy: ExecPolicy, limits: &Limits) -> (Context, Result
         &mut NullSink,
         limits,
         policy,
+        Backend::default(),
     )
     .map(|_| ());
     (ctx, res)
@@ -253,7 +255,7 @@ fn local_mem_free_targeting_distinguishes_versions() {
         let mut ctx = Context::new();
         let a = ctx.buffer_f32(&[1.0; 16]);
         let b = ctx.zeros_f32(16);
-        enqueue_with_policy(
+        enqueue_with_backend(
             &mut ctx,
             k,
             &[ArgValue::Buffer(a), ArgValue::Buffer(b)],
@@ -261,6 +263,7 @@ fn local_mem_free_targeting_distinguishes_versions() {
             &mut NullSink,
             &Limits::default(),
             ExecPolicy::Serial,
+            Backend::default(),
         )
         .map(|_| ())
     };

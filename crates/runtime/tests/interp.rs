@@ -4,8 +4,8 @@
 use grover_frontend::{compile, BuildOptions};
 use grover_ir::Function;
 use grover_runtime::{
-    enqueue, enqueue_with_policy, ArgValue, Context, CountingSink, ExecError, ExecPolicy, Limits,
-    NdRange, NullSink, TraceOp, VecSink,
+    enqueue, enqueue_with_backend, ArgValue, Backend, Context, CountingSink, ExecError, ExecPolicy,
+    Limits, NdRange, NullSink, TraceOp, VecSink,
 };
 
 fn kernel(src: &str) -> Function {
@@ -472,7 +472,7 @@ fn parallel_instruction_limit_enforced() {
     );
     let mut ctx = Context::new();
     let a = ctx.zeros_i32(2);
-    let err = enqueue_with_policy(
+    let err = enqueue_with_backend(
         &mut ctx,
         &k,
         &[ArgValue::Buffer(a)],
@@ -483,6 +483,7 @@ fn parallel_instruction_limit_enforced() {
             ..Limits::default()
         },
         ExecPolicy::Parallel { threads: 2 },
+        Backend::default(),
     )
     .unwrap_err();
     assert_eq!(err, ExecError::InstructionLimit);
@@ -500,7 +501,7 @@ fn parallel_error_reports_first_failing_group() {
     );
     let mut ctx = Context::new();
     let a = ctx.zeros_i32(8);
-    let err = enqueue_with_policy(
+    let err = enqueue_with_backend(
         &mut ctx,
         &k,
         &[ArgValue::Buffer(a)],
@@ -508,6 +509,7 @@ fn parallel_error_reports_first_failing_group() {
         &mut NullSink,
         &Limits::default(),
         ExecPolicy::Parallel { threads: 4 },
+        Backend::default(),
     )
     .unwrap_err();
     assert_eq!(err, ExecError::DivisionByZero);

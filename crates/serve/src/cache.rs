@@ -25,7 +25,7 @@ use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 
 use grover_obs::json::{self, Json, Obj};
-use grover_tuner::Decision;
+use grover_tuner::{write_decision_fields, Decision};
 
 use crate::journal;
 
@@ -98,25 +98,35 @@ impl DecisionRecord {
         self
     }
 
+    /// Write the outcome fields through the tuner's one decision writer
+    /// ([`grover_tuner::write_decision_fields`]).
+    pub(crate) fn write_fields(&self, obj: Obj) -> Obj {
+        let fallback = self
+            .fallback_kind
+            .as_deref()
+            .zip(self.fallback_detail.as_deref());
+        write_decision_fields(
+            obj,
+            &self.choice,
+            Some((
+                &self.sequence,
+                self.np,
+                self.cycles_with,
+                self.cycles_without,
+            )),
+            fallback,
+        )
+    }
+
     /// Render as one JSON object (one store line).
     pub fn to_json(&self) -> String {
-        let mut obj = Obj::new()
-            .str("fingerprint", &self.fingerprint)
-            .str("epoch", &self.epoch)
-            .str("device", &self.device)
-            .str("kernel", &self.kernel)
-            .str("choice", &self.choice)
-            .str("sequence", &self.sequence)
-            .f64("np", self.np)
-            .u64("cycles_with", self.cycles_with)
-            .u64("cycles_without", self.cycles_without);
-        obj = match (&self.fallback_kind, &self.fallback_detail) {
-            (Some(k), Some(d)) => obj.raw(
-                "fallback",
-                &Obj::new().str("kind", k).str("detail", d).finish(),
-            ),
-            _ => obj.null("fallback"),
-        };
+        let mut obj = self.write_fields(
+            Obj::new()
+                .str("fingerprint", &self.fingerprint)
+                .str("epoch", &self.epoch)
+                .str("device", &self.device)
+                .str("kernel", &self.kernel),
+        );
         if let (Some(h), Some(f)) = (&self.feature_schema_hash, &self.features) {
             obj = obj
                 .str("feature_schema_hash", h)

@@ -70,8 +70,8 @@ use grover_ir::{Function, Scalar, Type};
 use grover_obs::json::{self, array, Json, Obj};
 use grover_obs::{Recorder, SpanId, TraceId, Value};
 use grover_predict::{schema_hash, FeatureVector, Model as PredictModel};
-use grover_runtime::{ArgValue, Backend, Context, ExecPolicy, Limits, NdRange};
-use grover_tuner::{Choice, FallbackReason, TuneError, Tuner, Workload};
+use grover_runtime::{ArgValue, Context, ExecPolicy, Limits, NdRange};
+use grover_tuner::{write_decision_fields, Choice, FallbackReason, TuneError, Tuner, Workload};
 
 use crate::breaker::{Admit, CircuitBreaker};
 use crate::cache::{DecisionCache, DecisionRecord, DecisionStore};
@@ -107,8 +107,6 @@ pub struct ServeConfig {
     /// isolation boundary, making the panic → flight-dump path
     /// deterministic to test.
     pub panic_path: Option<String>,
-    /// Execution backend cache-miss tunes run on.
-    pub backend: Backend,
     /// Consecutive tuner failures that trip the circuit breaker open.
     pub breaker_threshold: u32,
     /// How long the breaker stays open before admitting a probe.
@@ -122,7 +120,7 @@ pub struct ServeConfig {
     /// log (entries each).
     pub flight_capacity: usize,
     /// Attach per-opcode profiles (`profile` events) to the launch spans
-    /// of cache-miss tunes. Bytecode backend only; off by default.
+    /// of cache-miss tunes. Off by default.
     pub profile_ops: bool,
     /// Path to a trained `model.json` serving `POST /v1/predict`. `None`
     /// (and a stale or unreadable model) means every predict abstains
@@ -144,7 +142,6 @@ impl Default for ServeConfig {
             max_deadline: Some(Duration::from_secs(30)),
             handler_delay: None,
             panic_path: None,
-            backend: Backend::Interp,
             breaker_threshold: 5,
             breaker_cooldown: Duration::from_secs(2),
             io_timeout: Some(Duration::from_secs(10)),
@@ -911,27 +908,15 @@ enum Served {
 }
 
 fn decision_response(rec: &DecisionRecord, served: Served) -> Response {
-    let mut obj = Obj::new()
+    let obj = Obj::new()
         .str("fingerprint", &rec.fingerprint)
         .str("pass_fingerprint", &rec.epoch)
         .bool("cached", served != Served::Fresh)
         .bool("coalesced", served == Served::Coalesced)
         .bool("degraded", false)
         .str("device", &rec.device)
-        .str("kernel", &rec.kernel)
-        .str("choice", &rec.choice)
-        .str("sequence", &rec.sequence)
-        .f64("np", rec.np)
-        .u64("cycles_with", rec.cycles_with)
-        .u64("cycles_without", rec.cycles_without);
-    obj = match (&rec.fallback_kind, &rec.fallback_detail) {
-        (Some(k), Some(d)) => obj.raw(
-            "fallback",
-            &Obj::new().str("kind", k).str("detail", d).finish(),
-        ),
-        _ => obj.null("fallback"),
-    };
-    Response::json(200, obj.finish())
+        .str("kernel", &rec.kernel);
+    Response::json(200, rec.write_fields(obj).finish())
 }
 
 /// The conservative answer served while the tuner circuit is open: keep
@@ -942,30 +927,21 @@ fn degraded_response(shared: &Shared, fingerprint: &str, device: &str, kernel: &
     let reason = FallbackReason::CircuitOpen(
         "tuner unavailable; serving the conservative original-kernel decision".to_string(),
     );
-    Response::json(
-        200,
-        Obj::new()
-            .str("fingerprint", fingerprint)
-            .str("pass_fingerprint", &shared.epoch)
-            .bool("cached", false)
-            .bool("coalesced", false)
-            .bool("degraded", true)
-            .str("device", device)
-            .str("kernel", kernel)
-            .str("choice", Choice::WithLocalMemory.kind())
-            .null("sequence")
-            .null("np")
-            .null("cycles_with")
-            .null("cycles_without")
-            .raw(
-                "fallback",
-                &Obj::new()
-                    .str("kind", reason.kind())
-                    .str("detail", &reason.to_string())
-                    .finish(),
-            )
-            .finish(),
-    )
+    let obj = Obj::new()
+        .str("fingerprint", fingerprint)
+        .str("pass_fingerprint", &shared.epoch)
+        .bool("cached", false)
+        .bool("coalesced", false)
+        .bool("degraded", true)
+        .str("device", device)
+        .str("kernel", kernel);
+    let obj = write_decision_fields(
+        obj,
+        Choice::WithLocalMemory.kind(),
+        None,
+        Some((reason.kind(), &reason.to_string())),
+    );
+    Response::json(200, obj.finish())
 }
 
 /// The request fields `/v1/tune` and `/v1/predict` share, validated and
@@ -1469,7 +1445,6 @@ fn run_miss(
 
     let mut tuner = Tuner::new();
     tuner.recorder = shared.recorder.clone();
-    tuner.backend = shared.config.backend;
     // Nest the tuner's spans under this request's tune span so every
     // span down to the launches carries the request's trace id.
     tuner.parent = Some(tune_span);

@@ -12,7 +12,9 @@
 //! - a slowloris client is dropped by the socket timeout without taking
 //!   a worker hostage.
 //!
-//! The fault guards hold global locks, so scenarios serialise themselves.
+//! Launch and I/O fault plans share one lock domain, held by the guard
+//! until the scenario ends; `FaultGuard::clear` removes the plan for the
+//! fault-free rest of a scenario without letting a sibling's plan in.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -66,16 +68,15 @@ fn failed_journal_append_is_a_500_and_the_decision_is_not_acknowledged() {
     });
     let body = tune_body(STAGE, "SNB", 256, 64);
 
-    {
-        let _guard = fault::inject_io(IoFaultPlan {
-            site: "journal.append".to_string(),
-            kind: IoFaultKind::Error("injected: disk full".to_string()),
-            max_fires: 1,
-        });
-        let (status, resp) = post(&server, &body);
-        assert_eq!(status, 500, "{resp:?}");
-        assert_eq!(resp.str_of("kind"), Some("persist_failed"));
-    }
+    let guard = fault::inject_io(IoFaultPlan {
+        site: "journal.append".to_string(),
+        kind: IoFaultKind::Error("injected: disk full".to_string()),
+        max_fires: 1,
+    });
+    let (status, resp) = post(&server, &body);
+    assert_eq!(status, 500, "{resp:?}");
+    assert_eq!(resp.str_of("kind"), Some("persist_failed"));
+    guard.clear();
     let m = server.metrics();
     assert_eq!(m.persist_failures.get(), 1);
 
@@ -99,17 +100,16 @@ fn torn_append_is_not_acknowledged_and_a_restart_repairs_the_tail() {
     let body = tune_body(STAGE, "SNB", 256, 64);
 
     let first_run = start(cfg.clone());
-    {
-        // The write "crashes" after 20 bytes of the frame hit the disk.
-        let _guard = fault::inject_io(IoFaultPlan {
-            site: "journal.append".to_string(),
-            kind: IoFaultKind::Torn(20),
-            max_fires: 1,
-        });
-        let (status, resp) = post(&first_run, &body);
-        assert_eq!(status, 500, "{resp:?}");
-        assert_eq!(resp.str_of("kind"), Some("persist_failed"));
-    }
+    // The write "crashes" after 20 bytes of the frame hit the disk.
+    let guard = fault::inject_io(IoFaultPlan {
+        site: "journal.append".to_string(),
+        kind: IoFaultKind::Torn(20),
+        max_fires: 1,
+    });
+    let (status, resp) = post(&first_run, &body);
+    assert_eq!(status, 500, "{resp:?}");
+    assert_eq!(resp.str_of("kind"), Some("persist_failed"));
+    guard.clear();
     first_run.shutdown();
     let text = std::fs::read_to_string(dir.join("decisions.journal")).unwrap();
     assert!(!text.is_empty() && !text.ends_with('\n'), "tail is torn");
@@ -146,17 +146,16 @@ fn fsync_failure_during_compaction_is_contained() {
         tune_body(STAGE, "SNB", 256, 64),
         tune_body(STAGE, "Fermi", 256, 64),
     ];
-    {
-        let _guard = fault::inject_io(IoFaultPlan {
-            site: "journal.fsync".to_string(),
-            kind: IoFaultKind::Error("injected: fsync failed".to_string()),
-            max_fires: 0,
-        });
-        for b in &bodies {
-            let (status, resp) = post(&server, b);
-            assert_eq!(status, 200, "appends must succeed regardless: {resp:?}");
-        }
+    let guard = fault::inject_io(IoFaultPlan {
+        site: "journal.fsync".to_string(),
+        kind: IoFaultKind::Error("injected: fsync failed".to_string()),
+        max_fires: 0,
+    });
+    for b in &bodies {
+        let (status, resp) = post(&server, b);
+        assert_eq!(status, 200, "appends must succeed regardless: {resp:?}");
     }
+    guard.clear();
     let m = server.metrics();
     assert_eq!(
         m.journal_compactions.get(),
@@ -187,37 +186,36 @@ fn breaker_degrades_after_repeated_tuner_panics_and_probe_heals_it() {
     let body = tune_body(STAGE, "SNB", 256, 64);
     let m = server.metrics();
 
-    {
-        // Every launch of the original kernel panics — the tuner's race
-        // isolation converts it to TuneError::Panicked each time.
-        let _guard = fault::inject(FaultPlan {
-            target: FaultTarget::original("stage"),
-            site: FaultSite::LaunchStart,
-            kind: FaultKind::Panic,
-            max_fires: 0,
-        });
-        for i in 0..2 {
-            let (status, resp) = post(&server, &body);
-            assert_eq!(status, 500, "failure {i} is a structured 500: {resp:?}");
-            assert_eq!(resp.str_of("kind"), Some("panic"));
-        }
-        // Threshold reached: the circuit is open; misses degrade to 200s
-        // with the conservative original-kernel answer — never a 500.
-        for _ in 0..3 {
-            let (status, resp) = post(&server, &body);
-            assert_eq!(status, 200, "{resp:?}");
-            assert_eq!(resp.bool_of("degraded"), Some(true), "{resp:?}");
-            assert_eq!(resp.str_of("choice"), Some("with_local_memory"));
-            assert_eq!(
-                resp.get("fallback").and_then(|f| f.str_of("kind")),
-                Some("circuit_open"),
-                "{resp:?}"
-            );
-        }
-        assert_eq!(m.breaker_state.get(), 1, "open");
-        assert_eq!(m.breaker_opens.get(), 1);
-        assert_eq!(m.degraded.get(), 3);
+    // Every launch of the original kernel panics — the tuner's race
+    // isolation converts it to TuneError::Panicked each time.
+    let guard = fault::inject(FaultPlan {
+        target: FaultTarget::original("stage"),
+        site: FaultSite::LaunchStart,
+        kind: FaultKind::Panic,
+        max_fires: 0,
+    });
+    for i in 0..2 {
+        let (status, resp) = post(&server, &body);
+        assert_eq!(status, 500, "failure {i} is a structured 500: {resp:?}");
+        assert_eq!(resp.str_of("kind"), Some("panic"));
     }
+    // Threshold reached: the circuit is open; misses degrade to 200s
+    // with the conservative original-kernel answer — never a 500.
+    for _ in 0..3 {
+        let (status, resp) = post(&server, &body);
+        assert_eq!(status, 200, "{resp:?}");
+        assert_eq!(resp.bool_of("degraded"), Some(true), "{resp:?}");
+        assert_eq!(resp.str_of("choice"), Some("with_local_memory"));
+        assert_eq!(
+            resp.get("fallback").and_then(|f| f.str_of("kind")),
+            Some("circuit_open"),
+            "{resp:?}"
+        );
+    }
+    assert_eq!(m.breaker_state.get(), 1, "open");
+    assert_eq!(m.breaker_opens.get(), 1);
+    assert_eq!(m.degraded.get(), 3);
+    guard.clear();
     // Degraded answers are placeholders: nothing was cached or persisted.
     assert!(
         std::fs::read_to_string(dir.join("decisions.journal"))

@@ -52,11 +52,12 @@ use std::time::Duration;
 use grover_core::{apply_sequence, GroverOptions, GroverReport, Sequence};
 use grover_devsim::Device;
 use grover_ir::Function;
+use grover_obs::json::Obj;
 use grover_obs::{NoopRecorder, Recorder, SpanId, Value};
 use grover_predict::{FeatureVector, Model as PredictModel, Prediction, Verdict};
 use grover_runtime::{
-    enqueue_observed_profiled, enqueue_with_backend, ArgValue, Backend, BufferData, Context,
-    ExecError, ExecPolicy, Limits, NdRange, NullSink,
+    enqueue_observed, enqueue_with_backend, ArgValue, Backend, BufferData, Context, ExecError,
+    ExecPolicy, Limits, NdRange, NullSink,
 };
 
 /// Which kernel version won.
@@ -197,6 +198,59 @@ pub struct Decision {
     pub predicted: Option<f64>,
 }
 
+impl Decision {
+    /// [`write_decision_fields`] for this decision.
+    pub fn write_fields(&self, obj: Obj) -> Obj {
+        let fallback = self.fallback.as_ref().map(|f| (f.kind(), f.to_string()));
+        write_decision_fields(
+            obj,
+            self.choice.kind(),
+            Some((
+                &self.sequence,
+                self.np,
+                self.cycles_with,
+                self.cycles_without,
+            )),
+            fallback.as_ref().map(|(k, d)| (*k, d.as_str())),
+        )
+    }
+}
+
+/// Write a decision's outcome onto `obj`: `choice`, `sequence`, `np`,
+/// `cycles_with`, `cycles_without`, then `fallback` as `{kind, detail}` or
+/// `null`. The one writer of these wire fields — the CLI's `--json`
+/// output, the serve responses and the serve journal all go through it.
+/// `measured` is `(sequence, np, cycles_with, cycles_without)`; `None`
+/// marks a decision that was never measured (a degraded answer) and
+/// writes those four fields as `null`.
+pub fn write_decision_fields(
+    obj: Obj,
+    choice: &str,
+    measured: Option<(&str, f64, u64, u64)>,
+    fallback: Option<(&str, &str)>,
+) -> Obj {
+    let obj = obj.str("choice", choice);
+    let obj = match measured {
+        Some((sequence, np, with, without)) => obj
+            .str("sequence", sequence)
+            .f64("np", np)
+            .u64("cycles_with", with)
+            .u64("cycles_without", without),
+        None => obj
+            .null("sequence")
+            .null("np")
+            .null("cycles_with")
+            .null("cycles_without"),
+    };
+    match fallback {
+        Some((kind, detail)) => obj.raw(
+            "fallback",
+            &Obj::new().str("kind", kind).str("detail", detail).finish(),
+        ),
+        None => obj.null("fallback"),
+    }
+}
+
 /// A representative workload: a factory producing a fresh context,
 /// argument list and launch geometry for each measurement run.
 pub struct Workload {
@@ -291,7 +345,9 @@ pub struct Tuner {
     /// Work-group schedule used for the measurement launches.
     pub policy: ExecPolicy,
     /// Execution backend for every launch this tuner performs (race
-    /// measurements and the differential-output guard alike).
+    /// measurements and the differential-output guard alike). Defaults
+    /// to the production engine ([`Backend::default`]); differential
+    /// tests set [`Backend::Interp`] to get the reference decision.
     pub backend: Backend,
     /// Per-measurement execution limits (instruction budget and optional
     /// wall-clock deadline, enforced by the runtime watchdog).
@@ -324,8 +380,8 @@ pub struct Tuner {
     pub parent: Option<SpanId>,
     /// Attach a per-opcode execution profile to race measurements: each
     /// nested `launch` span gains a `profile` event with per-opcode-kind
-    /// count/charge attributes. Only the bytecode backend can profile, so
-    /// this has no effect under [`Backend::Interp`]. Default off.
+    /// count/charge attributes. The interpreter reference
+    /// ([`Backend::Interp`]) cannot profile. Default off.
     pub profile_ops: bool,
     /// Predictive model consulted by [`Tuner::predict_first`] mode.
     /// `None` means every tune is measured.
@@ -369,7 +425,7 @@ impl Tuner {
         Tuner {
             threshold: 0.05,
             policy: ExecPolicy::Serial,
-            backend: Backend::Interp,
+            backend: Backend::default(),
             limits: Limits::default(),
             retry: RetryPolicy::default(),
             verify_outputs: true,
@@ -1190,7 +1246,7 @@ fn simulate(
     // With profiling on, the launch span gains a `profile` event; the
     // aggregate itself is not needed here, the recorder carries it.
     let mut profile = None;
-    enqueue_observed_profiled(
+    enqueue_observed(
         &mut ctx,
         kernel,
         &args,
@@ -1356,17 +1412,23 @@ mod tests {
     }
 
     #[test]
-    fn bytecode_backend_tunes_to_the_same_decision() {
+    fn tuner_runs_the_bytecode_engine_by_default() {
+        assert_eq!(Backend::default(), Backend::Bytecode);
+        assert_eq!(Tuner::new().backend, Backend::Bytecode);
+    }
+
+    #[test]
+    fn interpreter_reference_tunes_to_the_same_decision() {
         // The device model consumes the same access trace either way, so
         // cycle counts — and therefore the decision — must be identical,
-        // and races_run() accounting must be backend-agnostic.
+        // and races_run() accounting must be engine-agnostic.
         let k = staged_kernel();
-        let mut ti = Tuner::new();
-        let di = ti.tune(&k, "SNB", &workload()).unwrap();
         let mut tb = Tuner::new();
-        tb.backend = Backend::Bytecode;
         let db = tb.tune(&k, "SNB", &workload()).unwrap();
-        assert_eq!(tb.races_run(), 1);
+        let mut ti = Tuner::new();
+        ti.backend = Backend::Interp;
+        let di = ti.tune(&k, "SNB", &workload()).unwrap();
+        assert_eq!(ti.races_run(), 1);
         assert_eq!(di.choice, db.choice);
         assert_eq!(di.np, db.np);
         assert_eq!(
