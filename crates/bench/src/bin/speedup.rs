@@ -1,17 +1,14 @@
-//! Wall-clock speedups of the launch engine: runs benchmark kernels
-//! serially on the tree-walking interpreter, serially on the compiled
-//! register-bytecode backend, and with `ExecPolicy::Parallel`, and emits
-//! median-of-N timings (with warm-up) as JSON on stdout.
+//! Wall-clock speedup of the compiled register-bytecode engine over the
+//! tree-walking interpreter: runs benchmark kernels on both engines and
+//! emits median-of-N timings (with warm-up) as JSON on stdout.
 //!
 //! ```text
-//! cargo run -p grover-bench --release --bin speedup [-- --threads N] [--samples N]
+//! cargo run -p grover-bench --release --bin speedup [-- --samples N]
 //! ```
 //!
-//! `--threads 0` (the default) uses one worker per available CPU. The
-//! scale comes from `GROVER_SCALE` (`test` | `small` | `paper`).
+//! The scale comes from `GROVER_SCALE` (`test` | `small` | `paper`).
 //!
-//! Per app the report carries `serial_ms` (interpreter), `parallel_ms`,
-//! `bytecode_ms`, the parallel `speedup` (serial/parallel) and
+//! Per app the report carries `serial_ms` (interpreter), `bytecode_ms` and
 //! `bytecode_speedup` — the interpreter/bytecode launch-throughput ratio
 //! that gates the bytecode backend's performance claim.
 
@@ -22,8 +19,7 @@ use grover_kernels::{app_by_id, prepare_pair, Scale};
 use grover_obs::json::{array, Obj};
 use grover_runtime::{enqueue_with_backend, Backend, ExecPolicy, Limits, NullSink};
 
-/// Apps whose launches are large enough to amortise thread start-up — and
-/// interpreter-bound enough that dispatch overhead dominates.
+/// Apps interpreter-bound enough that dispatch overhead dominates.
 const APPS: [&str; 3] = ["NVD-MT", "NVD-MM-AB", "NVD-NBody"];
 const DEFAULT_SAMPLES: usize = 5;
 
@@ -31,7 +27,6 @@ fn median_time(
     kernel: &grover_ir::Function,
     app: &grover_kernels::App,
     scale: Scale,
-    policy: ExecPolicy,
     backend: Backend,
     samples: usize,
 ) -> Duration {
@@ -48,7 +43,7 @@ fn median_time(
             &prepared.nd,
             &mut NullSink,
             &Limits::default(),
-            policy,
+            ExecPolicy::Serial,
             backend,
         )
         .expect("launch failed");
@@ -63,18 +58,10 @@ fn median_time(
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut threads = 0usize;
     let mut samples = DEFAULT_SAMPLES;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--threads" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => threads = n,
-                None => {
-                    eprintln!("error: --threads needs an integer");
-                    std::process::exit(2);
-                }
-            },
             "--samples" => match it.next().and_then(|s| s.parse().ok()) {
                 Some(n) if n > 0 => samples = n,
                 _ => {
@@ -84,40 +71,33 @@ fn main() {
             },
             other => {
                 eprintln!("error: unexpected argument `{other}`");
-                eprintln!("usage: speedup [--threads N] [--samples N]");
+                eprintln!("usage: speedup [--samples N]");
                 std::process::exit(2);
             }
         }
     }
     let scale = scale_from_env();
-    let parallel = ExecPolicy::Parallel { threads };
-    let workers = parallel.worker_count();
 
     let mut rows = Vec::new();
     for id in APPS {
         let app = app_by_id(id).expect("bundled app");
         let pair = prepare_pair(&app, scale).expect("prepare failed");
-        let time =
-            |policy, backend| median_time(&pair.original, &app, scale, policy, backend, samples);
-        let serial = time(ExecPolicy::Serial, Backend::Interp);
-        let par = time(parallel, Backend::Interp);
-        let bytecode = time(ExecPolicy::Serial, Backend::Bytecode);
-        let speedup = serial.as_secs_f64() / par.as_secs_f64().max(1e-12);
+        let time = |backend| median_time(&pair.original, &app, scale, backend, samples);
+        let serial = time(Backend::Interp);
+        let bytecode = time(Backend::Bytecode);
         let bc_speedup = serial.as_secs_f64() / bytecode.as_secs_f64().max(1e-12);
         eprintln!(
-            "{id:<10} serial {serial:>10.3?}  parallel({workers}) {par:>10.3?}  speedup {speedup:.2}x  \
-             bytecode {bytecode:>10.3?}  bytecode-speedup {bc_speedup:.2}x"
+            "{id:<10} interp {serial:>10.3?}  bytecode {bytecode:>10.3?}  \
+             bytecode-speedup {bc_speedup:.2}x"
         );
         rows.push(
             Obj::new()
                 .str("app", id)
                 .raw("serial_ms", &format!("{:.3}", serial.as_secs_f64() * 1e3))
-                .raw("parallel_ms", &format!("{:.3}", par.as_secs_f64() * 1e3))
                 .raw(
                     "bytecode_ms",
                     &format!("{:.3}", bytecode.as_secs_f64() * 1e3),
                 )
-                .raw("speedup", &format!("{speedup:.3}"))
                 .raw("bytecode_speedup", &format!("{bc_speedup:.3}"))
                 .finish(),
         );
@@ -125,13 +105,6 @@ fn main() {
 
     let report = Obj::new()
         .str("scale", &format!("{scale:?}"))
-        .u64("threads", workers as u64)
-        .u64(
-            "available_parallelism",
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1) as u64,
-        )
         .u64("samples", samples as u64)
         .raw("kernels", &array(rows))
         .finish();

@@ -7,7 +7,7 @@
 //!     (e.g. `local-removal,barrier-elim,remap`) run through the
 //!     composable pipeline, with a per-pass report.
 //!
-//! grover autotune <app-id> [--device SNB|Nehalem|MIC|Fermi|Kepler|Tahiti] [--scale test|small|paper] [--threads N]
+//! grover autotune <app-id> [--device SNB|Nehalem|MIC|Fermi|Kepler|Tahiti] [--scale test|small|paper]
 //!                 [--strict] [--json] [--no-verify] [--deadline-ms N] [--retries N] [--backoff-ms N]
 //!                 [--passes SEQ[;SEQ...]] [--predict model.json] [--predict-threshold X]
 //!     Tune a bundled benchmark on a device via the hardened pipeline: the
@@ -17,11 +17,9 @@
 //!     winner's output buffers are bit-compared against the original. The
 //!     decision records the winning sequence. A failing or divergent
 //!     winner gracefully falls back to the original (exit 0) unless
-//!     `--strict` is given (exit 8). `--threads N` runs work-groups on N
-//!     host threads (0 = one per CPU); the simulated cycle counts are
-//!     identical to a serial run.
+//!     `--strict` is given (exit 8).
 //!
-//! grover profile <app-id> [--scale test|small|paper] [--threads N] [--json] [--ops]
+//! grover profile <app-id> [--scale test|small|paper] [--json] [--ops]
 //!     Run both kernel versions of a bundled benchmark and print a
 //!     side-by-side memory-traffic report (per-address-space load/store
 //!     counts, bytes moved, barriers, instructions) with deltas — the
@@ -35,8 +33,8 @@
 //!     Run a differential fuzzing campaign: generate randomized
 //!     software-cache kernels (plus deliberate must-reject variants), run
 //!     each through frontend → Grover pass → interpreter, and bit-compare
-//!     original vs transformed outputs under serial and parallel
-//!     schedules, then both against the bytecode engine. Failures are
+//!     original vs transformed outputs, then both against the bytecode
+//!     engine. Failures are
 //!     shrunk to standalone reproducers under `--out-dir` (default
 //!     `fuzz-regressions/`). Exit 9 if any case fails. A campaign is a
 //!     pure function of `(seed, cases)`.
@@ -58,7 +56,7 @@
 //!     recorder.
 //!
 //! grover predict <app-id> --model model.json [--device NAME] [--scale test|small|paper]
-//!                [--predict-threshold X] [--threads N] [--json]
+//!                [--predict-threshold X] [--json]
 //!     Answer the tuning question for a bundled benchmark from a trained
 //!     model using only static kernel features — zero launches on a
 //!     confident prediction. Below the confidence threshold the tuner
@@ -75,7 +73,7 @@
 //!     leave-one-kernel-out evaluation and prints the accuracy table.
 //!
 //! grover corpus export [--out FILE] [--cache-dir DIR] [--scale test|small|paper]
-//!                      [--devices A,B,...] [--apps A,B,...] [--threads N] [--no-verify]
+//!                      [--devices A,B,...] [--apps A,B,...] [--no-verify]
 //!     Dump a JSONL training table of measured decisions joined with
 //!     feature vectors. With `--cache-dir` the rows come from a serve
 //!     journal (decisions persisted with their features); otherwise the
@@ -132,7 +130,7 @@ use grover_predict::{
     evaluate_loo, parse_corpus, schema_hash, train_rows, CorpusRow, FeatureVector,
     Model as PredictModel, TrainConfig, Verdict,
 };
-use grover_runtime::{Backend, CountingSink, ExecPolicy, Limits};
+use grover_runtime::{Backend, CountingSink, Limits};
 use grover_tuner::{Choice, Decision, RetryPolicy, TuneError, Tuner, Workload};
 
 const EXIT_USAGE: u8 = 2;
@@ -195,22 +193,18 @@ fn main() -> ExitCode {
                 "usage: grover <transform|autotune|profile|classify|fuzz|serve|predict|train|corpus|list> [--trace-out FILE] ..."
             );
             eprintln!("  grover transform <kernel.cl> [-D NAME=VAL ...] [--kernel NAME] [--keep-barriers] [--passes SEQ]");
-            eprintln!(
-                "  grover autotune <app-id> [--device NAME] [--scale test|small|paper] [--threads N]"
-            );
+            eprintln!("  grover autotune <app-id> [--device NAME] [--scale test|small|paper]");
             eprintln!("                  [--strict] [--json] [--no-verify] [--deadline-ms N] [--retries N] [--backoff-ms N] [--passes SEQ[;SEQ...]]");
-            eprintln!(
-                "  grover profile <app-id> [--scale test|small|paper] [--threads N] [--json] [--ops]"
-            );
+            eprintln!("  grover profile <app-id> [--scale test|small|paper] [--json] [--ops]");
             eprintln!("  grover classify <kernel.cl> [-D NAME=VAL ...]");
             eprintln!("  grover fuzz [--seed N] [--cases N] [--json] [--out-dir DIR]");
             eprintln!("  grover serve [--addr HOST:PORT] [--cache-dir DIR] [--threads N] [--queue-depth N]");
             eprintln!("               [--breaker-threshold N] [--breaker-cooldown-ms MS] [--io-timeout-ms MS] [--compact-threshold N]");
             eprintln!("               [--cache-capacity N] [--max-deadline-ms N] [--flight-capacity N] [--profile-ops]");
             eprintln!("               [--model model.json] [--predict-threshold X]");
-            eprintln!("  grover predict <app-id> --model model.json [--device NAME] [--scale test|small|paper] [--predict-threshold X] [--threads N] [--json]");
+            eprintln!("  grover predict <app-id> --model model.json [--device NAME] [--scale test|small|paper] [--predict-threshold X] [--json]");
             eprintln!("  grover train --corpus FILE --out model.json [--iters N] [--l2 X] [--learning-rate X] [--threshold X] [--eval]");
-            eprintln!("  grover corpus export [--out FILE] [--cache-dir DIR] [--scale test|small|paper] [--devices A,B] [--apps A,B] [--threads N] [--no-verify]");
+            eprintln!("  grover corpus export [--out FILE] [--cache-dir DIR] [--scale test|small|paper] [--devices A,B] [--apps A,B] [--no-verify]");
             eprintln!("  grover list");
             return ExitCode::from(EXIT_USAGE);
         }
@@ -364,7 +358,6 @@ fn cmd_autotune(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Fai
     let mut app_id = None;
     let mut device = "SNB".to_string();
     let mut scale = Scale::Small;
-    let mut policy = ExecPolicy::Serial;
     let mut strict = false;
     let mut json = false;
     let mut verify = true;
@@ -423,10 +416,6 @@ fn cmd_autotune(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Fai
                     other => return Err(Failure::usage(format!("unknown scale `{other}`"))),
                 }
             }
-            "--threads" => {
-                let n = parse_u64(&mut it, "--threads")? as usize;
-                policy = ExecPolicy::Parallel { threads: n };
-            }
             "--strict" => strict = true,
             "--json" => json = true,
             "--no-verify" => verify = false,
@@ -457,7 +446,7 @@ fn cmd_autotune(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Fai
         (p.ctx, p.args, p.nd)
     });
 
-    let mut tuner = Tuner::with_policy(policy);
+    let mut tuner = Tuner::new();
     tuner.recorder = recorder.clone();
     tuner.limits = Limits {
         deadline,
@@ -474,7 +463,6 @@ fn cmd_autotune(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Fai
     // abstains below the confidence threshold.
     if let Some(path) = &model_path {
         tuner.predictor = Some(Arc::new(load_model(path)?));
-        tuner.predict_first = true;
         if let Some(t) = predict_threshold {
             tuner.predict_threshold = t;
         }
@@ -554,7 +542,6 @@ fn print_decision(d: &Decision) {
 fn cmd_profile(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Failure> {
     let mut app_id = None;
     let mut scale = Scale::Small;
-    let mut policy = ExecPolicy::Serial;
     let mut json = false;
     let mut ops = false;
     let mut it = args.iter();
@@ -572,10 +559,6 @@ fn cmd_profile(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Fail
                     other => return Err(Failure::usage(format!("unknown scale `{other}`"))),
                 }
             }
-            "--threads" => {
-                let n = parse_u64(&mut it, "--threads")? as usize;
-                policy = ExecPolicy::Parallel { threads: n };
-            }
             "--json" => json = true,
             "--ops" => ops = true,
             other if app_id.is_none() => app_id = Some(other.to_string()),
@@ -591,7 +574,7 @@ fn cmd_profile(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Fail
     })?;
     let pair = prepare_pair(&app, scale).map_err(|e| Failure::new(EXIT_COMPILE, e))?;
     if ops {
-        return cmd_profile_ops(&app_id, &app, scale, policy, json, &pair);
+        return cmd_profile_ops(&app_id, &app, scale, json, &pair);
     }
 
     let rec = &**recorder;
@@ -606,7 +589,6 @@ fn cmd_profile(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Fail
             kernel,
             (app.prepare)(scale),
             &mut sink,
-            policy,
             Backend::default(),
             rec,
             span,
@@ -631,7 +613,7 @@ fn cmd_profile(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Fail
             profile_json(&app_id, scale, &pair, &original, &transformed)
         );
     } else {
-        print_profile(&app_id, scale, policy, &pair, &original, &transformed);
+        print_profile(&app_id, scale, &pair, &original, &transformed);
     }
     Ok(())
 }
@@ -646,7 +628,6 @@ fn cmd_profile_ops(
     app_id: &str,
     app: &grover_kernels::App,
     scale: Scale,
-    policy: ExecPolicy,
     json: bool,
     pair: &KernelPair,
 ) -> Result<(), Failure> {
@@ -660,7 +641,6 @@ fn cmd_profile_ops(
             &p.nd,
             &mut grover_runtime::NullSink,
             &Limits::default(),
-            policy,
             Backend::Bytecode,
             &NoopRecorder,
             None,
@@ -704,12 +684,8 @@ fn cmd_profile_ops(
     }
 
     println!(
-        "profile {app_id} --ops (scale {}, {} work-group schedule, bytecode backend)",
-        scale_name(scale),
-        match policy {
-            ExecPolicy::Serial => "serial".to_string(),
-            ExecPolicy::Parallel { .. } => format!("parallel x{}", policy.worker_count()),
-        }
+        "profile {app_id} --ops (scale {}, bytecode backend)",
+        scale_name(scale)
     );
     println!("  kernel {}", pair.original.name);
     println!(
@@ -845,19 +821,11 @@ fn profile_rows(o: &CountingSink, t: &CountingSink) -> Vec<(&'static str, u64, u
 fn print_profile(
     app_id: &str,
     scale: Scale,
-    policy: ExecPolicy,
     pair: &KernelPair,
     o: &CountingSink,
     t: &CountingSink,
 ) {
-    println!(
-        "profile {app_id} (scale {}, {} work-group schedule)",
-        scale_name(scale),
-        match policy {
-            ExecPolicy::Serial => "serial".to_string(),
-            ExecPolicy::Parallel { .. } => format!("parallel x{}", policy.worker_count()),
-        }
-    );
+    println!("profile {app_id} (scale {})", scale_name(scale));
     println!(
         "  {:<22}{:>14}{:>14}{:>14}",
         "metric", "original", "transformed", "delta"
@@ -1134,14 +1102,13 @@ fn cmd_fuzz(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Failure
 }
 
 /// `grover predict <app-id>`: answer the tuning question from a trained
-/// model. Runs the tuner in predict-first mode — a confident prediction
-/// is served with zero launches; an abstention falls back to the
-/// measured race and the decision reports whether the model agreed.
+/// model. Runs the tuner with the model as its predictor — a confident
+/// prediction is served with zero launches; an abstention falls back to
+/// the measured race and the decision reports whether the model agreed.
 fn cmd_predict(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Failure> {
     let mut app_id = None;
     let mut device = "SNB".to_string();
     let mut scale = Scale::Small;
-    let mut policy = ExecPolicy::Serial;
     let mut model_path: Option<String> = None;
     let mut threshold: Option<f64> = None;
     let mut json = false;
@@ -1163,10 +1130,6 @@ fn cmd_predict(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Fail
             }
             "--scale" => scale = parse_scale(&mut it)?,
             "--predict-threshold" => threshold = Some(parse_f64(&mut it, "--predict-threshold")?),
-            "--threads" => {
-                let n = parse_u64(&mut it, "--threads")? as usize;
-                policy = ExecPolicy::Parallel { threads: n };
-            }
             "--json" => json = true,
             other if app_id.is_none() => app_id = Some(other.to_string()),
             other => return Err(Failure::usage(format!("unexpected argument `{other}`"))),
@@ -1188,10 +1151,9 @@ fn cmd_predict(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Fail
         (p.ctx, p.args, p.nd)
     });
 
-    let mut tuner = Tuner::with_policy(policy);
+    let mut tuner = Tuner::new();
     tuner.recorder = recorder.clone();
     tuner.predictor = Some(Arc::new(model));
-    tuner.predict_first = true;
     if let Some(t) = threshold {
         tuner.predict_threshold = t;
     }
@@ -1322,7 +1284,6 @@ fn cmd_corpus(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Failu
     let mut out_path: Option<String> = None;
     let mut cache_dir: Option<String> = None;
     let mut scale = Scale::Test;
-    let mut policy = ExecPolicy::Serial;
     let mut verify = true;
     let mut devices: Option<Vec<String>> = None;
     let mut apps_filter: Option<Vec<String>> = None;
@@ -1344,10 +1305,6 @@ fn cmd_corpus(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Failu
                 )
             }
             "--scale" => scale = parse_scale(&mut it)?,
-            "--threads" => {
-                let n = parse_u64(&mut it, "--threads")? as usize;
-                policy = ExecPolicy::Parallel { threads: n };
-            }
             "--no-verify" => verify = false,
             "--devices" => {
                 devices = Some(
@@ -1378,7 +1335,6 @@ fn cmd_corpus(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Failu
         None => export_suite_corpus(
             recorder,
             scale,
-            policy,
             verify,
             devices.as_deref(),
             apps_filter.as_deref(),
@@ -1448,11 +1404,9 @@ fn export_journal_corpus(dir: &str, epoch: &str) -> Result<Vec<String>, Failure>
 /// Suite mode: race every requested app × device pair and join the
 /// measured decision with the original kernel's static features — the
 /// fixture generator for the predict tests.
-#[allow(clippy::too_many_arguments)]
 fn export_suite_corpus(
     recorder: &Arc<dyn Recorder>,
     scale: Scale,
-    policy: ExecPolicy,
     verify: bool,
     devices: Option<&[String]>,
     apps_filter: Option<&[String]>,
@@ -1487,7 +1441,7 @@ fn export_suite_corpus(
                 let p = prepare(scale);
                 (p.ctx, p.args, p.nd)
             });
-            let mut tuner = Tuner::with_policy(policy);
+            let mut tuner = Tuner::new();
             tuner.recorder = recorder.clone();
             tuner.verify_outputs = verify;
             let d = tuner

@@ -562,3 +562,17 @@ fn profile_ops_needs_no_backend_flag() {
     // The engine-selection flag is gone: it is now an unexpected argument.
     assert_eq!(exit_code(&["profile", "NVD-MT", "--backend", "interp"]), 2);
 }
+
+#[test]
+fn threads_flag_is_a_serve_option_only() {
+    // Work-groups run serially; `--threads` sizes the serve worker pool
+    // and is a usage error everywhere else.
+    for args in [
+        &["autotune", "NVD-MT", "--threads", "4"][..],
+        &["profile", "NVD-MT", "--threads", "4"],
+        &["predict", "NVD-MT", "--threads", "4"],
+        &["corpus", "export", "--threads", "4"],
+    ] {
+        assert_eq!(exit_code(args), 2, "{args:?}");
+    }
+}

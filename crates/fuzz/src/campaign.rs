@@ -293,10 +293,10 @@ mod tests {
                 .count() as u64
         };
         assert_eq!(launches("bytecode"), 2 * s.transformed);
-        // Reference: original + transformed under two schedules per case,
-        // plus each sequence leg under both.
+        // Reference: original + transformed per case, plus one launch per
+        // sequence leg (one or two legs per case).
         assert!(
-            launches("interp") >= 4 * s.transformed,
+            (3 * s.transformed..=4 * s.transformed).contains(&launches("interp")),
             "{}",
             launches("interp")
         );

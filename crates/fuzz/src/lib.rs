@@ -2,7 +2,7 @@
 //!
 //! The paper's argument rests on one invariant: disabling local-memory
 //! usage must be *semantically invisible* — a transformed kernel computes
-//! bit-identical outputs under any schedule. This crate tests that
+//! bit-identical outputs. This crate tests that
 //! invariant generatively rather than by hand-picked examples:
 //!
 //! 1. [`spec`] describes randomized kernels built around the software-cache
@@ -11,12 +11,11 @@
 //!    loops and multiple local buffers — plus deliberately invalid
 //!    "poison" variants the pass must refuse.
 //! 2. [`oracle`] runs each kernel through frontend → pass → interpreter
-//!    and bit-compares original vs transformed outputs across serial and
-//!    parallel work-group schedules, then re-executes both on the
-//!    production bytecode engine against that interpreter reference;
-//!    must-reject kernels are checked for
-//!    the exact [`BufferOutcome`](grover_core::BufferOutcome) kind and
-//!    reason, and for untouched IR.
+//!    and bit-compares original vs transformed outputs, then re-executes
+//!    both on the production bytecode engine against that interpreter
+//!    reference; must-reject kernels are checked for the exact
+//!    [`BufferOutcome`](grover_core::BufferOutcome) kind and reason, and
+//!    for untouched IR.
 //! 3. [`shrink`] minimizes failing specs; [`campaign`] orchestrates a
 //!    seeded run, writes shrunk reproducers as standalone `.cl` files, and
 //!    emits a stable JSON summary.

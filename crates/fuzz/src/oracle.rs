@@ -2,12 +2,11 @@
 //!
 //! For a must-transform kernel: run the Grover pass, demand every local
 //! buffer is removed, then execute the original and the transformed kernel
-//! on the interpreter reference under both the serial and the parallel
-//! work-group schedule and compare the output buffers *bit for bit* (f32
-//! bit patterns, not approximate equality — the rewrite replaces loads, it
-//! must not perturb arithmetic). Both kernels are then re-executed on the
-//! production bytecode engine, which must match that reference bit for
-//! bit.
+//! on the interpreter reference and compare the output buffers *bit for
+//! bit* (f32 bit patterns, not approximate equality — the rewrite replaces
+//! loads, it must not perturb arithmetic). Both kernels are then
+//! re-executed on the production bytecode engine, which must match that
+//! reference bit for bit.
 //!
 //! For a must-reject kernel: run the pass, demand the named buffer survives
 //! with the expected [`BufferOutcome`] kind and reason, and demand the IR is
@@ -22,9 +21,7 @@ use grover_frontend::{compile, BuildOptions};
 use grover_ir::printer::function_to_string;
 use grover_ir::Function;
 use grover_obs::{Recorder, SpanId, NOOP};
-use grover_runtime::{
-    enqueue_observed, ArgValue, Backend, Context, ExecPolicy, Limits, NdRange, NullSink,
-};
+use grover_runtime::{enqueue_observed, ArgValue, Backend, Context, Limits, NdRange, NullSink};
 
 /// What a kernel is expected to do under the pass.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -99,7 +96,7 @@ pub struct Failure {
 /// Result of running one kernel through the oracle.
 #[derive(Clone, Debug)]
 pub enum CaseOutcome {
-    /// Transformed and verified bit-exact under both schedules.
+    /// Transformed and verified bit-exact on both engines.
     Transformed,
     /// Refused with the expected kind and reason, IR untouched.
     Rejected,
@@ -148,7 +145,6 @@ fn nd_range(shape: &ExecShape) -> NdRange {
 pub fn run_kernel(
     kernel: &Function,
     shape: &ExecShape,
-    policy: ExecPolicy,
     backend: Backend,
     rec: &dyn Recorder,
     parent: Option<SpanId>,
@@ -167,7 +163,6 @@ pub fn run_kernel(
         &nd_range(shape),
         &mut NullSink,
         &Limits::default(),
-        policy,
         backend,
         rec,
         parent,
@@ -187,18 +182,17 @@ fn first_bit_diff(a: &[f32], b: &[f32]) -> Option<usize> {
 /// Run one kernel source through the full pipeline and judge it against
 /// `expect`. `shape` is required for `Expectation::Transform`.
 ///
-/// A transform case is a three-way check, all bit-exact: original vs
-/// transformed on the interpreter reference under both schedules, then
-/// both kernels re-executed on the production bytecode engine against
-/// that reference. Reject cases are never executed.
+/// A transform case is a bit-exact check in two legs: original vs
+/// transformed on the interpreter reference, then both kernels
+/// re-executed on the production bytecode engine against that reference.
+/// Reject cases are never executed.
 pub fn check_source(src: &str, expect: &Expectation, shape: Option<&ExecShape>) -> CaseOutcome {
     check_source_seqs(src, expect, shape, &[], &NOOP, None)
 }
 
 /// [`check_source`] plus extra *sequence legs*: each sequence in
 /// `seqs` is applied to a fresh copy of the original kernel and must agree
-/// bit-exactly with the interpreter baseline under both schedules
-/// (transform cases) or leave the IR byte-identical (reject cases — every
+/// bit-exactly with the interpreter baseline (transform cases) or leave the IR byte-identical (reject cases — every
 /// cleanup pass gates on a removal actually happening). Every launch
 /// records a `launch` span on `rec` under `parent`.
 pub fn check_source_seqs(
@@ -290,59 +284,32 @@ pub fn check_source_seqs(
                     "transform expectation needs launch geometry".to_string(),
                 );
             };
-            let run = |kernel: &Function, policy: ExecPolicy, backend: Backend| {
-                run_kernel(kernel, shape, policy, backend, rec, parent)
+            let run = |kernel: &Function, backend: Backend| {
+                run_kernel(kernel, shape, backend, rec, parent)
             };
-            let policies = [ExecPolicy::Serial, ExecPolicy::Parallel { threads: 2 }];
-            let mut reference: Option<Vec<f32>> = None;
-            for policy in policies {
-                let orig = match run(original, policy, Backend::Interp) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        return fail(
-                            FailureKind::ExecError,
-                            format!("original ({policy:?}): {e}"),
-                        )
-                    }
-                };
-                let trans = match run(&transformed, policy, Backend::Interp) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        return fail(
-                            FailureKind::ExecError,
-                            format!("transformed ({policy:?}): {e}"),
-                        )
-                    }
-                };
-                if let Some(i) = first_bit_diff(&orig, &trans) {
-                    return fail(
-                        FailureKind::Mismatch,
-                        format!(
-                            "original vs transformed differ at [{i}] under {policy:?}: {} vs {}",
-                            orig.get(i).copied().unwrap_or(f32::NAN),
-                            trans.get(i).copied().unwrap_or(f32::NAN),
-                        ),
-                    );
-                }
-                // Schedules must agree with each other, too.
-                match &reference {
-                    None => reference = Some(orig),
-                    Some(r) => {
-                        if let Some(i) = first_bit_diff(r, &orig) {
-                            return fail(
-                                FailureKind::Mismatch,
-                                format!("serial vs parallel schedules differ at [{i}]"),
-                            );
-                        }
-                    }
-                }
+            let reference = match run(original, Backend::Interp) {
+                Ok(v) => v,
+                Err(e) => return fail(FailureKind::ExecError, format!("original: {e}")),
+            };
+            let trans = match run(&transformed, Backend::Interp) {
+                Ok(v) => v,
+                Err(e) => return fail(FailureKind::ExecError, format!("transformed: {e}")),
+            };
+            if let Some(i) = first_bit_diff(&reference, &trans) {
+                return fail(
+                    FailureKind::Mismatch,
+                    format!(
+                        "original vs transformed differ at [{i}]: {} vs {}",
+                        reference.get(i).copied().unwrap_or(f32::NAN),
+                        trans.get(i).copied().unwrap_or(f32::NAN),
+                    ),
+                );
             }
-            // Third leg: re-execute both kernels on the production engine
+            // Second leg: re-execute both kernels on the production engine
             // and demand bit-identity with the interpreter reference.
             let backend = Backend::default();
-            let reference = reference.expect("policies is non-empty");
             for (which, kernel) in [("original", original), ("transformed", &transformed)] {
-                let alt = match run(kernel, ExecPolicy::Serial, backend) {
+                let alt = match run(kernel, backend) {
                     Ok(v) => v,
                     Err(e) => {
                         return fail(FailureKind::ExecError, format!("{which} ({backend}): {e}"))
@@ -360,7 +327,7 @@ pub fn check_source_seqs(
                 }
             }
             // Sequence legs: every drawn legal sequence must compute the
-            // interpreter baseline bit-exactly under both schedules.
+            // interpreter baseline bit-exactly.
             for seq in seqs {
                 let mut seq_kernel = original.clone();
                 let pr = apply_sequence(&mut seq_kernel, seq, &GroverOptions::default());
@@ -370,27 +337,21 @@ pub fn check_source_seqs(
                         format!("sequence `{seq}` declined a must-transform kernel"),
                     );
                 }
-                for policy in policies {
-                    let out = match run(&seq_kernel, policy, Backend::Interp) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            return fail(
-                                FailureKind::ExecError,
-                                format!("sequence `{seq}` ({policy:?}): {e}"),
-                            )
-                        }
-                    };
-                    if let Some(i) = first_bit_diff(&reference, &out) {
-                        return fail(
-                            FailureKind::SequenceMismatch,
-                            format!(
-                                "sequence `{seq}` differs from baseline at [{i}] under \
-                                 {policy:?}: {} vs {}",
-                                reference.get(i).copied().unwrap_or(f32::NAN),
-                                out.get(i).copied().unwrap_or(f32::NAN),
-                            ),
-                        );
+                let out = match run(&seq_kernel, Backend::Interp) {
+                    Ok(v) => v,
+                    Err(e) => {
+                        return fail(FailureKind::ExecError, format!("sequence `{seq}`: {e}"))
                     }
+                };
+                if let Some(i) = first_bit_diff(&reference, &out) {
+                    return fail(
+                        FailureKind::SequenceMismatch,
+                        format!(
+                            "sequence `{seq}` differs from baseline at [{i}]: {} vs {}",
+                            reference.get(i).copied().unwrap_or(f32::NAN),
+                            out.get(i).copied().unwrap_or(f32::NAN),
+                        ),
+                    );
                 }
             }
             CaseOutcome::Transformed

@@ -86,7 +86,7 @@ pub fn run_prepared(
     )
 }
 
-/// [`run_prepared`] under an explicit work-group schedule and execution
+/// [`run_prepared`] under an explicit [`ExecPolicy`] and execution
 /// [`Backend`].
 pub fn run_prepared_backend(
     kernel: &Function,
@@ -111,14 +111,13 @@ pub fn run_prepared_backend(
 
 /// [`run_prepared_backend`] with telemetry: the launch records one
 /// `launch` span on `recorder` (under `parent`, if given) carrying the
-/// backend, per-space access counts, bytes and worker utilisation — see
+/// backend, per-space access counts and bytes — see
 /// [`grover_runtime::enqueue_observed`]. With a disabled recorder this is
 /// exactly `run_prepared_backend`.
 pub fn run_prepared_observed(
     kernel: &Function,
     mut prepared: Prepared,
     sink: &mut dyn TraceSink,
-    policy: ExecPolicy,
     backend: Backend,
     recorder: &dyn Recorder,
     parent: Option<SpanId>,
@@ -130,7 +129,6 @@ pub fn run_prepared_observed(
         &prepared.nd,
         sink,
         &Limits::default(),
-        policy,
         backend,
         recorder,
         parent,

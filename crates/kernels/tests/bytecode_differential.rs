@@ -1,5 +1,5 @@
 //! Differential gate for the bytecode backend: every app, both kernel
-//! versions, both schedules, must produce bit-identical output buffers,
+//! versions, must produce bit-identical output buffers,
 //! identical launch statistics and identical trace tallies on the
 //! interpreter and the bytecode backend.
 
@@ -31,12 +31,7 @@ struct Observed {
     counts: CountingSink,
 }
 
-fn run_one(
-    app: &App,
-    kernel: &grover_ir::Function,
-    policy: ExecPolicy,
-    backend: Backend,
-) -> Observed {
+fn run_one(app: &App, kernel: &grover_ir::Function, backend: Backend) -> Observed {
     let prepared = (app.prepare)(Scale::Test);
     let mut sink = CountingSink::default();
     // Keep the prepared workload alive past the run so the output buffer
@@ -56,10 +51,10 @@ fn run_one(
         &nd,
         &mut sink,
         &grover_runtime::Limits::default(),
-        policy,
+        ExecPolicy::Serial,
         backend,
     )
-    .unwrap_or_else(|e| panic!("{} [{}/{:?}]: {e}", app.id, backend, policy));
+    .unwrap_or_else(|e| panic!("{} [{}]: {e}", app.id, backend));
     let bits = match expected {
         Expected::I32(_) => Bits::I32(ctx.read_i32(out).to_vec()),
         Expected::F32(_) => Bits::F32(ctx.read_f32(out).iter().map(|f| f.to_bits()).collect()),
@@ -71,24 +66,20 @@ fn run_one(
     }
 }
 
-fn assert_identical(app: &App, kernel: &grover_ir::Function, which: &str, policy: ExecPolicy) {
-    let a = run_one(app, kernel, policy, Backend::Interp);
-    let b = run_one(app, kernel, policy, Backend::Bytecode);
+fn assert_identical(app: &App, kernel: &grover_ir::Function, which: &str) {
+    let a = run_one(app, kernel, Backend::Interp);
+    let b = run_one(app, kernel, Backend::Bytecode);
     assert!(
         a.bits == b.bits,
-        "{} {which} {policy:?}: output bits differ between backends",
+        "{} {which}: output bits differ between backends",
         app.id
     );
-    assert_eq!(
-        a.stats, b.stats,
-        "{} {which} {policy:?}: launch stats differ",
-        app.id
-    );
+    assert_eq!(a.stats, b.stats, "{} {which}: launch stats differ", app.id);
     let (ca, cb) = (&a.counts, &b.counts);
     assert_eq!(
         (ca.instructions, ca.barriers),
         (cb.instructions, cb.barriers),
-        "{} {which} {policy:?}: instruction/barrier tallies differ",
+        "{} {which}: instruction/barrier tallies differ",
         app.id
     );
     assert_eq!(
@@ -104,13 +95,13 @@ fn assert_identical(app: &App, kernel: &grover_ir::Function, which: &str, policy
             cb.local_loads,
             cb.local_stores
         ),
-        "{} {which} {policy:?}: access tallies differ",
+        "{} {which}: access tallies differ",
         app.id
     );
     assert_eq!(
         (ca.bytes_loaded, ca.bytes_stored),
         (cb.bytes_loaded, cb.bytes_stored),
-        "{} {which} {policy:?}: byte tallies differ",
+        "{} {which}: byte tallies differ",
         app.id
     );
 }
@@ -126,18 +117,8 @@ fn suite() -> Vec<App> {
 fn all_apps_bit_identical_serial() {
     for app in suite() {
         let pair = prepare_pair(&app, Scale::Test).unwrap_or_else(|e| panic!("{e}"));
-        assert_identical(&app, &pair.original, "original", ExecPolicy::Serial);
-        assert_identical(&app, &pair.transformed, "transformed", ExecPolicy::Serial);
-    }
-}
-
-#[test]
-fn all_apps_bit_identical_parallel() {
-    let policy = ExecPolicy::Parallel { threads: 2 };
-    for app in suite() {
-        let pair = prepare_pair(&app, Scale::Test).unwrap_or_else(|e| panic!("{e}"));
-        assert_identical(&app, &pair.original, "original", policy);
-        assert_identical(&app, &pair.transformed, "transformed", policy);
+        assert_identical(&app, &pair.original, "original");
+        assert_identical(&app, &pair.transformed, "transformed");
     }
 }
 

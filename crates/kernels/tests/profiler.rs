@@ -1,11 +1,10 @@
-//! Determinism and reconciliation gate for the per-opcode bytecode
-//! profiler: for every app and both kernel versions, op counts must be
-//! bit-identical across Serial and Parallel schedules, and the profile's
-//! total charge must equal the launch's instruction tally on both the
-//! bytecode backend itself and the reference interpreter.
+//! Reconciliation gate for the per-opcode bytecode profiler: for every app
+//! and both kernel versions, the profile's total charge must equal the
+//! launch's instruction tally on both the bytecode backend itself and the
+//! reference interpreter.
 
 use grover_kernels::{all_apps, extension_apps, prepare_pair, App, Scale};
-use grover_runtime::{Backend, ExecPolicy, NullSink, OpProfile};
+use grover_runtime::{Backend, NullSink, OpProfile};
 
 fn suite() -> Vec<App> {
     let mut apps = all_apps();
@@ -17,7 +16,6 @@ fn suite() -> Vec<App> {
 fn profile_one(
     app: &App,
     kernel: &grover_ir::Function,
-    policy: ExecPolicy,
     backend: Backend,
 ) -> (u64, Option<OpProfile>) {
     let p = (app.prepare)(Scale::Test);
@@ -30,59 +28,38 @@ fn profile_one(
         &p.nd,
         &mut NullSink,
         &grover_runtime::Limits::default(),
-        policy,
         backend,
         &grover_obs::NOOP,
         None,
         Some(&mut profile),
     )
-    .unwrap_or_else(|e| panic!("{} [{}/{:?}]: {e}", app.id, backend, policy));
+    .unwrap_or_else(|e| panic!("{} [{}]: {e}", app.id, backend));
     (stats.instructions, profile)
 }
 
 #[test]
-fn profile_identical_across_schedules_and_reconciles_with_stats() {
+fn profile_reconciles_with_stats() {
     for app in suite() {
         let pair = prepare_pair(&app, Scale::Test).unwrap_or_else(|e| panic!("{e}"));
         for (which, kernel) in [
             ("original", &pair.original),
             ("transformed", &pair.transformed),
         ] {
-            let (insts_serial, prof_serial) =
-                profile_one(&app, kernel, ExecPolicy::Serial, Backend::Bytecode);
-            let (insts_par, prof_par) = profile_one(
-                &app,
-                kernel,
-                ExecPolicy::Parallel { threads: 2 },
-                Backend::Bytecode,
-            );
-            let prof_serial =
-                prof_serial.unwrap_or_else(|| panic!("{} {which}: no serial profile", app.id));
-            let prof_par =
-                prof_par.unwrap_or_else(|| panic!("{} {which}: no parallel profile", app.id));
-
-            // Bit-identical under any schedule: merging per-worker counters
-            // is plain addition, so the work-group partition cannot show.
-            assert_eq!(
-                prof_serial, prof_par,
-                "{} {which}: profile differs between Serial and Parallel",
-                app.id
-            );
+            let (insts, prof) = profile_one(&app, kernel, Backend::Bytecode);
+            let prof = prof.unwrap_or_else(|| panic!("{} {which}: no profile", app.id));
 
             // Exact reconciliation with the launch's own instruction tally.
             assert_eq!(
-                prof_serial.total_charged, insts_serial,
+                prof.total_charged, insts,
                 "{} {which}: total_charged != LaunchStats.instructions (bytecode)",
                 app.id
             );
-            assert_eq!(insts_serial, insts_par, "{} {which}: stats differ", app.id);
 
             // ... and with the reference interpreter's tally, which counts
             // original IR instructions (fused ops charged twice, phis once).
-            let (insts_interp, prof_interp) =
-                profile_one(&app, kernel, ExecPolicy::Serial, Backend::Interp);
+            let (insts_interp, prof_interp) = profile_one(&app, kernel, Backend::Interp);
             assert_eq!(
-                prof_serial.total_charged, insts_interp,
+                prof.total_charged, insts_interp,
                 "{} {which}: total_charged != interpreter instruction tally",
                 app.id
             );
@@ -94,28 +71,24 @@ fn profile_identical_across_schedules_and_reconciles_with_stats() {
 
             // Internal consistency: rows sum to the totals, blocks too.
             assert_eq!(
-                prof_serial.ops.iter().map(|o| o.count).sum::<u64>(),
-                prof_serial.total_count,
+                prof.ops.iter().map(|o| o.count).sum::<u64>(),
+                prof.total_count,
                 "{} {which}: op rows do not sum to total_count",
                 app.id
             );
             assert_eq!(
-                prof_serial.ops.iter().map(|o| o.charged).sum::<u64>(),
-                prof_serial.total_charged,
+                prof.ops.iter().map(|o| o.charged).sum::<u64>(),
+                prof.total_charged,
                 "{} {which}: op rows do not sum to total_charged",
                 app.id
             );
             assert_eq!(
-                prof_serial.blocks.iter().map(|b| b.charged).sum::<u64>(),
-                prof_serial.total_charged,
+                prof.blocks.iter().map(|b| b.charged).sum::<u64>(),
+                prof.total_charged,
                 "{} {which}: block rows do not sum to total_charged",
                 app.id
             );
-            assert!(
-                prof_serial.total_count > 0,
-                "{} {which}: empty profile",
-                app.id
-            );
+            assert!(prof.total_count > 0, "{} {which}: empty profile", app.id);
         }
     }
 }

@@ -1,15 +1,13 @@
-//! Launch-telemetry acceptance tests: the metrics a launch span records
-//! must be schedule-independent — bit-identical between `ExecPolicy::Serial`
-//! and `ExecPolicy::Parallel` — for every bundled app, in both kernel
-//! versions. Wall-time and utilisation attributes are the only ones allowed
-//! to differ.
+//! Launch-telemetry acceptance tests: every bundled app, in both kernel
+//! versions, records one `launch` span whose metrics reconcile with the
+//! launch's own statistics, and the span carries no work-group schedule
+//! attributes.
 
-use grover_kernels::{all_apps, prepare_pair, run_prepared_observed, Scale};
+use grover_kernels::{all_apps, prepare_pair, run_prepared_observed, AppRun, Scale};
 use grover_obs::{MemoryRecorder, Snapshot};
-use grover_runtime::{Backend, ExecPolicy, NullSink};
+use grover_runtime::{Backend, NullSink};
 
-/// The deterministic launch-span metrics (everything except wall time,
-/// worker count/utilisation and the policy tag).
+/// The deterministic launch-span metrics (everything except wall time).
 const METRIC_KEYS: &[&str] = &[
     "instructions",
     "barriers",
@@ -34,54 +32,47 @@ const METRIC_KEYS: &[&str] = &[
 fn observed_snapshot(
     kernel: &grover_ir::Function,
     prepared: grover_kernels::Prepared,
-    policy: ExecPolicy,
-) -> Snapshot {
+) -> (Snapshot, AppRun) {
     let rec = MemoryRecorder::new();
-    run_prepared_observed(
+    let run = run_prepared_observed(
         kernel,
         prepared,
         &mut NullSink,
-        policy,
         Backend::default(),
         &rec,
         None,
     )
     .unwrap_or_else(|e| panic!("{e}"));
-    rec.snapshot()
-}
-
-fn launch_metrics(snap: &Snapshot) -> Vec<(&'static str, u64)> {
-    let span = snap.span("launch").expect("launch span recorded");
-    METRIC_KEYS
-        .iter()
-        .map(|&k| {
-            (
-                k,
-                span.attr_u64(k)
-                    .unwrap_or_else(|| panic!("metric `{k}` missing")),
-            )
-        })
-        .collect()
+    (rec.snapshot(), run)
 }
 
 #[test]
-fn launch_metrics_are_schedule_independent() {
+fn launch_metrics_reconcile_with_launch_stats() {
     for app in all_apps() {
         let pair = prepare_pair(&app, Scale::Test).unwrap_or_else(|e| panic!("{e}"));
         for (version, kernel) in [
             ("original", &pair.original),
             ("transformed", &pair.transformed),
         ] {
-            let serial = observed_snapshot(kernel, (app.prepare)(Scale::Test), ExecPolicy::Serial);
-            let parallel = observed_snapshot(
-                kernel,
-                (app.prepare)(Scale::Test),
-                ExecPolicy::Parallel { threads: 2 },
-            );
+            let (snap, run) = observed_snapshot(kernel, (app.prepare)(Scale::Test));
+            let span = snap.span("launch").expect("launch span recorded");
+            let metric = |k: &str| {
+                span.attr_u64(k)
+                    .unwrap_or_else(|| panic!("{} {version}: metric `{k}` missing", app.id))
+            };
+            for k in METRIC_KEYS {
+                metric(k);
+            }
+            let s = run.stats;
             assert_eq!(
-                launch_metrics(&serial),
-                launch_metrics(&parallel),
-                "{} {version}: serial and parallel launch metrics differ",
+                [
+                    metric("instructions"),
+                    metric("barriers"),
+                    metric("work_items"),
+                    metric("work_groups"),
+                ],
+                [s.instructions, s.barriers, s.work_items, s.work_groups],
+                "{} {version}: launch span disagrees with LaunchStats",
                 app.id
             );
         }
@@ -89,43 +80,22 @@ fn launch_metrics_are_schedule_independent() {
 }
 
 #[test]
-fn worker_events_cover_every_group() {
+fn launch_span_has_no_schedule_attributes() {
     let app = grover_kernels::app_by_id("NVD-MT").unwrap();
     let pair = prepare_pair(&app, Scale::Test).unwrap();
-    let snap = observed_snapshot(
-        &pair.original,
-        (app.prepare)(Scale::Test),
-        ExecPolicy::Parallel { threads: 2 },
-    );
+    let (snap, _) = observed_snapshot(&pair.original, (app.prepare)(Scale::Test));
     let span = snap.span("launch").unwrap();
-    let work_groups = span.attr_u64("work_groups").unwrap();
-    let workers = snap.events_named("worker");
-    assert!(!workers.is_empty());
-    let claimed: u64 = workers
-        .iter()
-        .map(|w| {
-            w.attr("groups")
-                .and_then(grover_obs::Value::as_u64)
-                .unwrap()
-        })
-        .sum();
-    assert_eq!(claimed, work_groups);
-    for w in &workers {
-        assert_eq!(w.span, Some(span.id));
-        assert!(w.attr("busy_us").is_some());
-        assert!(w.attr("util").is_some());
-    }
+    assert_eq!(span.attr_str("backend"), Some("bytecode"));
+    assert!(span.attr("policy").is_none(), "{:?}", span.attr("policy"));
+    assert!(span.attr("workers").is_none(), "{:?}", span.attr("workers"));
+    assert!(snap.events_named("worker").is_empty());
 }
 
 #[test]
 fn launch_span_reconciles_per_space_totals() {
     let app = grover_kernels::app_by_id("AMD-MM").unwrap();
     let pair = prepare_pair(&app, Scale::Test).unwrap();
-    let snap = observed_snapshot(
-        &pair.original,
-        (app.prepare)(Scale::Test),
-        ExecPolicy::Serial,
-    );
+    let (snap, _) = observed_snapshot(&pair.original, (app.prepare)(Scale::Test));
     let span = snap.span("launch").unwrap();
     let per_space_bytes_loaded = span.attr_u64("global_bytes_loaded").unwrap()
         + span.attr_u64("local_bytes_loaded").unwrap()

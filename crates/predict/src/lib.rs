@@ -23,7 +23,7 @@
 //!   with their feature vectors (written by `grover corpus export`,
 //!   read by `grover train`).
 //!
-//! The tuner's `predict_first` mode and `grover-serve`'s
+//! The tuner's `predictor` and `grover-serve`'s
 //! `POST /v1/predict` sit on top: answer from the model when confidence
 //! clears `--predict-threshold`, fall back to the measured race when it
 //! abstains, and append every fallback's measured outcome back to the

@@ -1,14 +1,12 @@
 //! Feature-extraction contracts: determinism (byte-identical JSON for
 //! identical inputs), a locked schema hash, and the static-vs-dynamic
 //! reconciliation — every feature the extractor claims is present must be
-//! corroborated by the observed execution counters of the bundled suite,
-//! and the counters themselves must be schedule-independent
-//! (serial ≡ parallel).
+//! corroborated by the observed execution counters of the bundled suite.
 
 use grover_kernels::{all_apps, extension_apps, prepare_pair, run_prepared_observed, App, Scale};
 use grover_obs::NoopRecorder;
 use grover_predict::{schema_hash, FeatureVector, FEATURE_NAMES};
-use grover_runtime::{Backend, CountingSink, ExecPolicy};
+use grover_runtime::{Backend, CountingSink};
 
 /// The full 12-app suite: the 11 Table-I applications plus EXT-CONV.
 fn suite() -> Vec<App> {
@@ -18,7 +16,7 @@ fn suite() -> Vec<App> {
 }
 
 /// Observed execution counters of the original (local-memory) kernel.
-fn observe(app: &App, policy: ExecPolicy) -> CountingSink {
+fn observe(app: &App) -> CountingSink {
     let pair = prepare_pair(app, Scale::Test).expect("suite app prepares");
     let prepared = (app.prepare)(Scale::Test);
     let mut sink = CountingSink::default();
@@ -26,7 +24,6 @@ fn observe(app: &App, policy: ExecPolicy) -> CountingSink {
         &pair.original,
         prepared,
         &mut sink,
-        policy,
         Backend::default(),
         &NoopRecorder,
         None,
@@ -71,7 +68,7 @@ fn static_features_reconcile_with_observed_counters() {
         let fv = FeatureVector::extract(&pair.original, nd.global, nd.local);
         let get = |name: &str| fv.get(name).expect("known feature");
 
-        let obs = observe(&app, ExecPolicy::Serial);
+        let obs = observe(&app);
         // Sound direction only: an executed operation must be visible to
         // the static extractor. (The converse can fail legitimately —
         // statically present code may be guarded off at this scale.)
@@ -125,24 +122,5 @@ fn static_features_reconcile_with_observed_counters() {
             "{}",
             app.id
         );
-    }
-}
-
-#[test]
-fn observed_counters_are_schedule_independent() {
-    // The reconciliation above is only meaningful if the dynamic side is
-    // itself deterministic: a parallel schedule must count exactly what
-    // the serial one does.
-    for app in suite() {
-        let s = observe(&app, ExecPolicy::Serial);
-        let p = observe(&app, ExecPolicy::Parallel { threads: 4 });
-        assert_eq!(s.barriers, p.barriers, "{}", app.id);
-        assert_eq!(s.instructions, p.instructions, "{}", app.id);
-        assert_eq!(s.global_loads, p.global_loads, "{}", app.id);
-        assert_eq!(s.global_stores, p.global_stores, "{}", app.id);
-        assert_eq!(s.local_loads, p.local_loads, "{}", app.id);
-        assert_eq!(s.local_stores, p.local_stores, "{}", app.id);
-        assert_eq!(s.bytes_loaded, p.bytes_loaded, "{}", app.id);
-        assert_eq!(s.bytes_stored, p.bytes_stored, "{}", app.id);
     }
 }

@@ -1,4 +1,4 @@
-//! Tuner ↔ model integration: `predict_first` serves confident answers
+//! Tuner ↔ model integration: a tuner with a `predictor` serves confident answers
 //! with provably zero launches, abstains below the threshold into the
 //! measured race, and grades abstained guesses against the measurement.
 
@@ -42,7 +42,7 @@ fn predict_first_serves_hits_with_zero_launches() {
 
     let mut tuner = Tuner::new();
     tuner.predictor = Some(Arc::new(model));
-    tuner.predict_first = true; // default threshold 0.7 < exact-match confidence
+    // The default threshold 0.7 is below the exact-match confidence.
     let d = tuner
         .tune(&kernel, "SNB", &workload)
         .expect("predicted tune");
@@ -66,7 +66,6 @@ fn below_threshold_abstains_into_the_measured_race() {
 
     let mut tuner = Tuner::new();
     tuner.predictor = Some(Arc::new(model));
-    tuner.predict_first = true;
     // Above even the exact-match confidence: the model must abstain and
     // the measured race must run.
     tuner.predict_threshold = 0.995;
@@ -92,7 +91,6 @@ fn unknown_device_abstains_even_with_a_model() {
 
     let mut tuner = Tuner::new();
     tuner.predictor = Some(Arc::new(model)); // trained for SNB only
-    tuner.predict_first = true;
     let d = tuner
         .tune(&kernel, "Fermi", &workload)
         .expect("measured tune");

@@ -216,29 +216,23 @@ impl RawBuf {
     }
 }
 
-/// A shareable view of a [`Context`]'s global buffers used by the NDRange
-/// engine: work-group workers on different threads load and store device
-/// memory through it concurrently.
+/// A view of a [`Context`]'s global buffers used by the NDRange engine for
+/// the duration of one launch.
 ///
 /// # Safety / OpenCL memory model
 ///
-/// The view holds raw pointers and is (unsafely) `Sync`. This matches
-/// OpenCL's relaxed global-memory model: work-groups of one launch may
-/// write global memory concurrently, and a kernel in which two work-items
-/// of *different* groups touch the same location without synchronisation
-/// (at least one writing) is already undefined behaviour in the source
-/// program — such kernels were equally racy on a real device, so the
-/// engine does not attempt to serialise them. Every access is still
-/// bounds- and type-checked; the borrow on the `Context` guarantees the
-/// storage itself cannot move or be freed while a launch is in flight.
+/// The view holds raw pointers so that the engine can load and store
+/// through a shared `&LaunchCtx` while it also holds per-group state
+/// mutably. It is neither `Send` nor `Sync`: it never leaves the launching
+/// thread, and work-groups run one after another, so no two accesses
+/// overlap. Every access is still bounds- and type-checked; the borrow on
+/// the `Context` guarantees the storage itself cannot move or be freed
+/// while a launch is in flight.
 pub(crate) struct GlobalMem<'a> {
     bufs: Vec<RawBuf>,
     bases: Vec<u64>,
     _ctx: std::marker::PhantomData<&'a mut Context>,
 }
-
-unsafe impl Send for GlobalMem<'_> {}
-unsafe impl Sync for GlobalMem<'_> {}
 
 impl GlobalMem<'_> {
     /// Device base address of a buffer (0 for an unknown id, matching the

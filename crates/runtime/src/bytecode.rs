@@ -36,7 +36,7 @@ use grover_ir::{
 use crate::buffer::BufferData;
 use crate::interp::{
     corrupt_val, emit_at, eval_bin, eval_call, eval_cast, eval_cmp, mem_load, mem_store,
-    workitem_query, GroupRun, GroupStats, LaunchCtx, LocalBudget,
+    workitem_query, Budget, GroupRun, GroupStats, LaunchCtx,
 };
 use crate::trace::{TraceOp, TraceSink};
 use crate::val::{PtrVal, Val};
@@ -243,7 +243,7 @@ pub(crate) struct CompiledKernel {
 }
 
 /// A compiled kernel plus the launch's parameter seeds already applied to
-/// the register template: what every worker of one launch executes.
+/// the register template: what every group of one launch executes.
 pub(crate) struct LaunchProgram {
     compiled: CompiledKernel,
     regs_init: Vec<Val>,
@@ -265,9 +265,8 @@ impl LaunchProgram {
     }
 }
 
-/// Raw profiling counters of one worker: dynamic execution counts per
-/// bytecode op index and per phi edge. Merging is plain addition, so the
-/// launch-wide totals are bit-identical under any work-group schedule.
+/// Raw profiling counters of one launch: dynamic execution counts per
+/// bytecode op index and per phi edge.
 #[derive(Default)]
 pub(crate) struct ProfBuf {
     op_counts: Vec<u64>,
@@ -280,16 +279,6 @@ impl ProfBuf {
         ProfBuf {
             op_counts: vec![0; prog.compiled.ops.len()],
             edge_counts: vec![0; prog.compiled.edges.len()],
-        }
-    }
-
-    /// Add another worker's counts into this buffer.
-    pub(crate) fn merge(&mut self, other: &ProfBuf) {
-        for (a, b) in self.op_counts.iter_mut().zip(&other.op_counts) {
-            *a += b;
-        }
-        for (a, b) in self.edge_counts.iter_mut().zip(&other.edge_counts) {
-            *a += b;
         }
     }
 }
@@ -931,7 +920,7 @@ struct BcItem {
     local_linear: u32,
 }
 
-/// Per-worker scratch: work-item register files, the group's local memory
+/// Launch scratch: work-item register files, the group's local memory
 /// and the phi parallel-copy buffer, allocated once and reset per group.
 #[derive(Default)]
 pub(crate) struct BcScratch {
@@ -983,13 +972,13 @@ pub(crate) fn run_group(
     wg: [u64; 3],
     group_linear: u32,
     sink: &mut dyn TraceSink,
-    budget: &mut LocalBudget<'_>,
+    budget: &mut Budget,
     scratch: &mut BcScratch,
     mut prof: Option<&mut ProfBuf>,
 ) -> Result<GroupStats, ExecError> {
     let nd = launch.nd;
 
-    launch.pool.check_deadline()?;
+    budget.check_deadline()?;
     #[cfg(feature = "fault-injection")]
     let corrupt_group = match &launch.fault {
         Some(i) => crate::fault::group_hook(i, group_linear)?,
@@ -1143,7 +1132,7 @@ fn run_item(
     wi: &mut BcItem,
     copy_buf: &mut Vec<Val>,
     sink: &mut dyn TraceSink,
-    budget: &mut LocalBudget<'_>,
+    budget: &mut Budget,
     wants: bool,
     mut prof: Option<&mut ProfBuf>,
 ) -> Result<BcStop, ExecError> {

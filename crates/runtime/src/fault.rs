@@ -95,15 +95,13 @@ impl FaultTarget {
 pub enum FaultSite {
     /// At launch entry, before any work-group runs (the panic propagates
     /// out of `enqueue` itself — this is how a tuner race *thread* is
-    /// killed, as opposed to a launch *worker*).
+    /// killed, as opposed to a single work-group).
     LaunchStart,
     /// At the start of the work-group with this linear id. For
     /// [`FaultKind::CorruptStores`] the effect covers every group with an
     /// id `>=` this one.
     Group(u32),
-    /// After one engine worker has executed this many IR instructions
-    /// (launch-deterministic under the serial schedule; per-worker under
-    /// the parallel one).
+    /// After the launch has executed this many IR instructions.
     Instruction(u64),
 }
 
@@ -273,7 +271,7 @@ pub(crate) fn load_offset(inst: &Installed, group: u32) -> Option<i64> {
     }
 }
 
-/// Instruction countdown for a worker's budget, if the plan has an
+/// Instruction countdown for a launch's budget, if the plan has an
 /// instruction site.
 pub(crate) fn instruction_trigger(inst: &Installed) -> Option<u64> {
     match inst.plan.site {
@@ -284,7 +282,7 @@ pub(crate) fn instruction_trigger(inst: &Installed) -> Option<u64> {
     }
 }
 
-/// Instruction-site hook, called when a worker's countdown hits zero.
+/// Instruction-site hook, called when a launch's countdown hits zero.
 pub(crate) fn instruction_hook(inst: &Installed) -> Result<(), ExecError> {
     inst.fire("instruction site")
 }

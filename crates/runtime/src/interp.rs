@@ -3,18 +3,14 @@
 //! CPU OpenCL runtimes schedule them [paper §VI-C]); at a barrier every
 //! item of the group must arrive before any proceeds.
 //!
-//! Work-groups of one launch are independent (OpenCL gives no ordering or
-//! synchronisation between groups), so the engine can execute them either
-//! serially on the calling thread or partitioned across a pool of worker
-//! threads — see [`ExecPolicy`] and [`enqueue_with_backend`]. Both schedules
-//! produce bit-identical output buffers, [`LaunchStats`] and trace streams.
+//! Work-groups of one launch run one after another on the calling thread,
+//! in group-linear order — see [`ExecPolicy`] and [`enqueue_with_backend`].
 //!
 //! The same launch engine drives the production bytecode engine
 //! ([`crate::bytecode`]); the tree-walking interpreter in this module is
 //! the differential reference it is checked against.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use grover_ir::{
@@ -126,14 +122,15 @@ pub struct LaunchStats {
 /// Execution limits.
 #[derive(Clone, Copy, Debug)]
 pub struct Limits {
-    /// Maximum total IR instructions across the launch.
+    /// Maximum total IR instructions across the launch. The instruction
+    /// right after the budget runs out fails with
+    /// [`ExecError::InstructionLimit`] — the same instruction on every run.
     pub max_instructions: u64,
     /// Optional wall-clock deadline for the whole launch. The watchdog is
     /// checked at every work-group start and at budget-refill granularity
-    /// (every [`BUDGET_CHUNK`] instructions per worker), so a launch
-    /// overshoots the deadline by at most one chunk's execution time; on
-    /// expiry the shared instruction budget is drained so every worker
-    /// stops at its next refill with [`ExecError::DeadlineExceeded`].
+    /// (every 2^20 instructions), so a launch overshoots the deadline by
+    /// at most one chunk's execution time before it stops with
+    /// [`ExecError::DeadlineExceeded`].
     pub deadline: Option<Duration>,
 }
 
@@ -148,152 +145,44 @@ impl Default for Limits {
 
 /// How the work-groups of a launch are scheduled onto host threads.
 ///
-/// OpenCL defines no ordering or synchronisation between the work-groups of
-/// one launch, so they may run concurrently. A kernel in which work-items of
-/// *different* groups touch the same global-memory location without
-/// synchronisation (at least one of them writing) is already undefined
-/// behaviour in the source program; such kernels get no extra serialisation
-/// here — exactly as on a real device.
-///
-/// Whatever the policy, a successful launch is deterministic: output
-/// buffers, [`LaunchStats`] and the trace stream a [`TraceSink`] observes
-/// are bit-identical between `Serial` and `Parallel` (per-group trace
-/// events are buffered and replayed in group-linear order). The only
-/// scheduling-visible difference is *which* instruction trips
-/// [`Limits::max_instructions`]: the budget is shared by all workers, so
-/// under `Parallel` the launch still stops within one claim-chunk of the
-/// limit, but not on a deterministic instruction.
+/// Work-groups run one after another on the calling thread, in
+/// group-linear order (`x` fastest). Concurrency lives one level up: the
+/// tuner races whole measurements on scoped threads, and the serving layer
+/// runs requests on its worker pool.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecPolicy {
     /// Run work-groups one after another on the calling thread.
     #[default]
     Serial,
-    /// Partition the work-group index space across a pool of worker
-    /// threads (scoped; no detached threads survive the launch).
-    Parallel {
-        /// Worker-thread count; `0` means one per available CPU.
-        threads: usize,
-    },
 }
 
-impl ExecPolicy {
-    /// `Parallel` with the thread count taken from the host CPU.
-    pub fn parallel_auto() -> ExecPolicy {
-        ExecPolicy::Parallel { threads: 0 }
-    }
-
-    /// The number of worker threads this policy resolves to on this host.
-    pub fn worker_count(self) -> usize {
-        match self {
-            ExecPolicy::Serial => 1,
-            ExecPolicy::Parallel { threads: 0 } => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            ExecPolicy::Parallel { threads } => threads,
-        }
-    }
-}
-
-/// Per-worker execution statistics, collected only by the observed launch
-/// path ([`crate::obs::enqueue_observed`] with an enabled recorder). The
-/// serial engine reports itself as a single worker.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WorkerStat {
-    /// Work-groups this worker claimed and executed.
-    pub groups: u64,
-    /// Wall time spent inside group execution (excludes idle waits on the
-    /// claim counter — `busy / launch wall time` is the utilisation).
-    pub busy: Duration,
-    /// The longest single group this worker executed.
-    pub max_group: Duration,
-}
-
-impl WorkerStat {
-    fn note(&mut self, dt: Duration) {
-        self.groups += 1;
-        self.busy += dt;
-        if dt > self.max_group {
-            self.max_group = dt;
-        }
-    }
-}
-
-/// Instructions a parallel worker claims from the shared launch budget per
-/// refill. Small enough that a launch overshoots `max_instructions` by at
-/// most `workers * BUDGET_CHUNK`, large enough that the shared counter is
-/// touched ~once per million instructions.
+/// Instructions spent between two watchdog checks.
 const BUDGET_CHUNK: u64 = 1 << 20;
 
 /// The launch-wide instruction budget ([`Limits::max_instructions`]) and
-/// wall-clock watchdog ([`Limits::deadline`]), shared by every worker.
-pub(crate) struct BudgetPool {
-    avail: AtomicU64,
+/// wall-clock watchdog ([`Limits::deadline`]), owned by the launch loop.
+/// The budget is handed out in chunks: `left` counts down inside the
+/// current chunk, so the hot loop does one decrement per instruction, and
+/// each refill doubles as a watchdog check. The instruction *after* the
+/// budget runs out fails with [`ExecError::InstructionLimit`].
+pub(crate) struct Budget {
+    /// Instructions not yet handed out to a chunk.
+    avail: u64,
+    /// Instructions left in the current chunk.
+    left: u64,
     start: Instant,
     deadline: Option<Duration>,
-    deadline_hit: AtomicBool,
-}
-
-impl BudgetPool {
-    fn new(limits: &Limits) -> BudgetPool {
-        BudgetPool {
-            avail: AtomicU64::new(limits.max_instructions),
-            start: Instant::now(),
-            deadline: limits.deadline,
-            deadline_hit: AtomicBool::new(false),
-        }
-    }
-
-    /// Watchdog check; on expiry, drain the pool so every other worker
-    /// stops at its next refill too.
-    pub(crate) fn check_deadline(&self) -> Result<(), ExecError> {
-        if let Some(d) = self.deadline {
-            if self.start.elapsed() > d {
-                self.deadline_hit.store(true, Ordering::Relaxed);
-                self.avail.store(0, Ordering::Relaxed);
-                return Err(ExecError::DeadlineExceeded);
-            }
-        }
-        Ok(())
-    }
-
-    /// Why the pool is empty: a drained-by-watchdog pool reports the
-    /// deadline, a genuinely spent one the instruction limit.
-    fn exhausted_error(&self) -> ExecError {
-        if self.deadline_hit.load(Ordering::Relaxed) {
-            ExecError::DeadlineExceeded
-        } else {
-            ExecError::InstructionLimit
-        }
-    }
-}
-
-/// A worker's claim on the [`BudgetPool`]: spends locally and refills in
-/// chunks, so the hot interpreter loop performs no atomic ops. The serial
-/// engine uses the same chunking — with a single worker the refills are
-/// sequential, so the exact single-counter semantics are preserved: the
-/// instruction *after* the budget runs out fails with
-/// [`ExecError::InstructionLimit`] — and each refill doubles as a
-/// watchdog check.
-pub(crate) struct LocalBudget<'a> {
-    pool: &'a BudgetPool,
-    left: u64,
-    chunk: u64,
     /// Injected instruction-site fault: countdown and plan.
     #[cfg(feature = "fault-injection")]
     fault: Option<(u64, std::sync::Arc<crate::fault::Installed>)>,
 }
 
-impl<'a> LocalBudget<'a> {
-    fn new(launch: &'a LaunchCtx<'_>, chunk: u64) -> LocalBudget<'a> {
-        LocalBudget {
-            pool: &launch.pool,
-            left: 0,
-            chunk,
-            #[cfg(feature = "fault-injection")]
-            fault: launch
-                .fault
-                .as_ref()
-                .and_then(|i| crate::fault::instruction_trigger(i).map(|n| (n, i.clone()))),
+impl Budget {
+    /// Watchdog check: fails once the launch has run past its deadline.
+    pub(crate) fn check_deadline(&self) -> Result<(), ExecError> {
+        match self.deadline {
+            Some(d) if self.start.elapsed() > d => Err(ExecError::DeadlineExceeded),
+            _ => Ok(()),
         }
     }
 
@@ -316,36 +205,13 @@ impl<'a> LocalBudget<'a> {
     }
 
     fn refill(&mut self) -> Result<(), ExecError> {
-        self.pool.check_deadline()?;
-        let mut avail = self.pool.avail.load(Ordering::Relaxed);
-        loop {
-            if avail == 0 {
-                return Err(self.pool.exhausted_error());
-            }
-            let take = avail.min(self.chunk);
-            match self.pool.avail.compare_exchange_weak(
-                avail,
-                avail - take,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    self.left = take;
-                    return Ok(());
-                }
-                Err(now) => avail = now,
-            }
+        self.check_deadline()?;
+        if self.avail == 0 {
+            return Err(ExecError::InstructionLimit);
         }
-    }
-}
-
-impl Drop for LocalBudget<'_> {
-    fn drop(&mut self) {
-        // Return the unspent part of the claim so other workers can use it
-        // — unless the watchdog drained the pool to stop the launch.
-        if self.left > 0 && !self.pool.deadline_hit.load(Ordering::Relaxed) {
-            self.pool.avail.fetch_add(self.left, Ordering::Relaxed);
-        }
+        self.left = self.avail.min(BUDGET_CHUNK);
+        self.avail -= self.left;
+        Ok(())
     }
 }
 
@@ -366,7 +232,7 @@ struct WorkItem {
 }
 
 /// Launch-wide immutable state, computed once per `enqueue` and shared by
-/// every worker: kernel, geometry, the global-memory view (buffer base
+/// every group: kernel, geometry, the global-memory view (buffer base
 /// addresses included — no per-group probing of the [`Context`]), the
 /// pre-resolved parameter seeds and the `__local` buffer layout.
 pub(crate) struct LaunchCtx<'a> {
@@ -379,7 +245,6 @@ pub(crate) struct LaunchCtx<'a> {
     pub(crate) local_templ: Vec<(Scalar, usize)>,
     /// Byte offset of each `__local` buffer inside the group-local region.
     pub(crate) local_bases: Vec<u64>,
-    pub(crate) pool: BudgetPool,
     /// Whether every group's global stores are perturbed
     /// ([`crate::fault::FaultKind::CorruptStores`] at launch scope; always
     /// `false` without the `fault-injection` feature).
@@ -389,9 +254,9 @@ pub(crate) struct LaunchCtx<'a> {
     pub(crate) fault: Option<std::sync::Arc<crate::fault::Installed>>,
 }
 
-/// Per-worker scratch reused across the groups that worker executes: the
-/// work-item states (register files in particular) and the group's local
-/// memory are allocated once and reset per group instead of reallocated.
+/// Scratch reused across the groups of one launch: the work-item states
+/// (register files in particular) and the group's local memory are
+/// allocated once and reset per group instead of reallocated.
 #[derive(Default)]
 struct Scratch {
     items: Vec<WorkItem>,
@@ -406,63 +271,7 @@ pub(crate) struct GroupStats {
     pub(crate) instructions: u64,
 }
 
-/// What a parallel worker hands back for one claimed group: the linear
-/// group index plus either the group's stats and buffered trace or the
-/// error that stopped it.
-type GroupOutcome = (usize, Result<(GroupStats, GroupBuf), ExecError>);
-
-/// One buffered trace event of a group (the group id is implicit).
-enum GroupEvent {
-    Access(AccessEvent),
-    Barrier { items: u32 },
-    ItemDone { local: u32, insts: u64 },
-}
-
-/// Per-group trace buffer used by the parallel engine. Workers record into
-/// it; the launch thread replays the buffers in group-linear order so the
-/// real sink observes exactly the serial event stream.
-struct GroupBuf {
-    /// Whether the real sink consumes access events
-    /// ([`TraceSink::wants_events`]); barrier/item-done events are always
-    /// kept — they are few and carry the launch statistics.
-    wants_access: bool,
-    events: Vec<GroupEvent>,
-}
-
-impl TraceSink for GroupBuf {
-    fn access(&mut self, ev: &AccessEvent) {
-        if self.wants_access {
-            self.events.push(GroupEvent::Access(*ev));
-        }
-    }
-
-    fn barrier(&mut self, _group: u32, items: u32) {
-        self.events.push(GroupEvent::Barrier { items });
-    }
-
-    fn workitem_done(&mut self, _group: u32, local: u32, instructions: u64) {
-        self.events.push(GroupEvent::ItemDone {
-            local,
-            insts: instructions,
-        });
-    }
-}
-
-impl GroupBuf {
-    fn replay(self, group: u32, sink: &mut dyn TraceSink) {
-        for ev in self.events {
-            match ev {
-                GroupEvent::Access(ev) => sink.access(&ev),
-                GroupEvent::Barrier { items } => sink.barrier(group, items),
-                GroupEvent::ItemDone { local, insts } => sink.workitem_done(group, local, insts),
-            }
-        }
-        sink.workgroup_done(group);
-    }
-}
-
-/// Group linear id → 3-D group id, matching the serial `wz/wy/wx` loop
-/// nest (`x` fastest).
+/// Group linear id → 3-D group id (`x` fastest).
 fn delinearize(gl: usize, ng: [u64; 3]) -> [u64; 3] {
     let gl = gl as u64;
     [gl % ng[0], (gl / ng[0]) % ng[1], gl / (ng[0] * ng[1])]
@@ -491,15 +300,13 @@ pub fn enqueue(
     )
 }
 
-/// Launch a kernel under an explicit scheduling [`ExecPolicy`] and
-/// execution [`Backend`].
+/// Launch a kernel under an explicit [`ExecPolicy`] and execution
+/// [`Backend`].
 ///
-/// See [`ExecPolicy`] for the determinism guarantees. On failure the error
-/// of the lowest-numbered failing group is returned (the same one the
-/// serial schedule would report), and the sink has observed the complete
-/// event streams of every group before it. Both backends produce
-/// bit-identical output buffers, [`LaunchStats`] and trace streams for
-/// well-formed kernels.
+/// On failure the error of the first failing group is returned, and the
+/// sink has observed the complete event streams of every group before it.
+/// Both backends produce bit-identical output buffers, [`LaunchStats`]
+/// and trace streams for well-formed kernels.
 #[allow(clippy::too_many_arguments)]
 pub fn enqueue_with_backend(
     ctx: &mut Context,
@@ -511,19 +318,14 @@ pub fn enqueue_with_backend(
     policy: ExecPolicy,
     backend: Backend,
 ) -> Result<LaunchStats, ExecError> {
-    enqueue_impl(
-        ctx, kernel, args, nd, sink, limits, policy, backend, None, None,
-    )
+    let ExecPolicy::Serial = policy;
+    enqueue_impl(ctx, kernel, args, nd, sink, limits, backend, None)
 }
 
 /// The launch engine behind [`enqueue_with_backend`] and
-/// [`crate::obs::enqueue_observed`]. When `workers_out` is `Some`, each
-/// worker additionally times its group executions and pushes one
-/// [`WorkerStat`] (the serial engine pushes exactly one); when `None` —
-/// the production path — no clock is read and no stat is kept. When
-/// `profile_out` is `Some` and the backend is [`Backend::Bytecode`], each
-/// worker counts op/edge executions into a private buffer; the buffers are
-/// merged and aggregated into an [`bytecode::OpProfile`] written through
+/// [`crate::obs::enqueue_observed`]. When `profile_out` is `Some` and the
+/// backend is [`Backend::Bytecode`], op/edge executions are counted and
+/// aggregated into an [`bytecode::OpProfile`] written through
 /// `profile_out` iff the launch succeeds. With the interpreter backend, or
 /// on any error, `profile_out` is left untouched.
 #[allow(clippy::too_many_arguments)]
@@ -534,9 +336,7 @@ pub(crate) fn enqueue_impl(
     nd: &NdRange,
     sink: &mut dyn TraceSink,
     limits: &Limits,
-    policy: ExecPolicy,
     backend: Backend,
-    workers_out: Option<&mut Vec<WorkerStat>>,
     profile_out: Option<&mut Option<bytecode::OpProfile>>,
 ) -> Result<LaunchStats, ExecError> {
     nd.validate()?;
@@ -557,12 +357,22 @@ pub(crate) fn enqueue_impl(
     let corrupt_launch = match &fault {
         // A launch-entry panic deliberately propagates out of `enqueue`:
         // it models a failure of the launching thread itself (e.g. one
-        // side of a tuner race), not of a work-group worker.
+        // side of a tuner race), not of a single work-group.
         Some(i) => crate::fault::launch_hook(i)?,
         None => false,
     };
     #[cfg(not(feature = "fault-injection"))]
     let corrupt_launch = false;
+    let mut budget = Budget {
+        avail: limits.max_instructions,
+        left: 0,
+        start: Instant::now(),
+        deadline: limits.deadline,
+        #[cfg(feature = "fault-injection")]
+        fault: fault
+            .as_ref()
+            .and_then(|i| crate::fault::instruction_trigger(i).map(|n| (n, i.clone()))),
+    };
     let launch = LaunchCtx {
         f: kernel,
         nd: *nd,
@@ -570,13 +380,12 @@ pub(crate) fn enqueue_impl(
         params,
         local_templ,
         local_bases,
-        pool: BudgetPool::new(limits),
         corrupt_launch,
         #[cfg(feature = "fault-injection")]
         fault,
     };
 
-    // Bytecode backend: lower the kernel once per launch; every worker
+    // Bytecode backend: lower the kernel once per launch; every group
     // executes the same compiled program.
     let program = match backend {
         Backend::Interp => None,
@@ -586,177 +395,32 @@ pub(crate) fn enqueue_impl(
 
     let ng = nd.num_groups();
     let n_groups = (ng[0] * ng[1] * ng[2]) as usize;
-
-    let observe = workers_out.is_some();
-
-    if policy == ExecPolicy::Serial {
-        let mut budget = LocalBudget::new(&launch, BUDGET_CHUNK);
-        let mut scratch = AnyScratch::new(program.is_some());
-        let mut prof = if profile_out.is_some() {
-            program.map(bytecode::ProfBuf::for_program)
-        } else {
-            None
-        };
-        let mut stats = LaunchStats::default();
-        let mut wstat = WorkerStat::default();
-        for gl in 0..n_groups {
-            let t0 = observe.then(Instant::now);
-            let gs = run_group_any(
-                &launch,
-                program,
-                delinearize(gl, ng),
-                gl as u32,
-                sink,
-                &mut budget,
-                &mut scratch,
-                prof.as_mut(),
-            )?;
-            if let Some(t0) = t0 {
-                wstat.note(t0.elapsed());
-            }
-            stats.instructions += gs.instructions;
-            stats.barriers += gs.barriers;
-            stats.work_items += gs.items;
-            stats.work_groups += 1;
-            sink.workgroup_done(gl as u32);
-        }
-        if let Some(out) = workers_out {
-            out.push(wstat);
-        }
-        if let Some(out) = profile_out {
-            if let (Some(buf), Some(p)) = (&prof, program) {
-                *out = Some(p.aggregate(buf));
-            }
-        }
-        return Ok(stats);
-    }
-
-    let workers = policy.worker_count().clamp(1, n_groups);
-    let wants_access = sink.wants_events();
-    let profile = profile_out.is_some();
-    let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let launch_ref = &launch;
-
-    // Workers claim group indices from a shared counter (dynamic load
-    // balancing) and run each claimed group to completion. `fetch_add` is
-    // monotonic, so when a group fails, every lower-numbered group was
-    // claimed earlier by some worker that finishes it before exiting —
-    // which is what makes the first-error-in-group-order guarantee hold.
-    let mut escaped_panic: Option<String> = None;
-    let worker_outputs: Vec<(Vec<GroupOutcome>, WorkerStat, Option<bytecode::ProfBuf>)> =
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut out = Vec::new();
-                        let mut wstat = WorkerStat::default();
-                        let mut budget = LocalBudget::new(launch_ref, BUDGET_CHUNK);
-                        let mut scratch = AnyScratch::new(program.is_some());
-                        let mut prof = if profile {
-                            program.map(bytecode::ProfBuf::for_program)
-                        } else {
-                            None
-                        };
-                        while !stop.load(Ordering::Relaxed) {
-                            let gl = next.fetch_add(1, Ordering::Relaxed);
-                            if gl >= n_groups {
-                                break;
-                            }
-                            let mut buf = GroupBuf {
-                                wants_access,
-                                events: Vec::new(),
-                            };
-                            let t0 = observe.then(Instant::now);
-                            let r = run_group_any(
-                                launch_ref,
-                                program,
-                                delinearize(gl, ng),
-                                gl as u32,
-                                &mut buf,
-                                &mut budget,
-                                &mut scratch,
-                                prof.as_mut(),
-                            );
-                            if let Some(t0) = t0 {
-                                wstat.note(t0.elapsed());
-                            }
-                            let failed = r.is_err();
-                            out.push((gl, r.map(|gs| (gs, buf))));
-                            if failed {
-                                stop.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                        (out, wstat, prof)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(out) => out,
-                    // Per-group isolation catches every panic inside the
-                    // worker loop, so this arm is unreachable short of a bug
-                    // in the loop itself; degrade to an error regardless.
-                    Err(p) => {
-                        escaped_panic = Some(panic_message(p.as_ref()));
-                        (Vec::new(), WorkerStat::default(), None)
-                    }
-                })
-                .collect()
-        });
-    if let Some(message) = escaped_panic {
-        return Err(ExecError::WorkerPanic {
-            group: u32::MAX,
-            message,
-        });
-    }
-
-    let mut slots: Vec<Option<Result<(GroupStats, GroupBuf), ExecError>>> = Vec::new();
-    slots.resize_with(n_groups, || None);
-    let mut worker_stats = Vec::with_capacity(worker_outputs.len());
-    // Merging the per-worker counters is element-wise addition, so the
-    // launch-wide profile is independent of which worker ran which group.
-    let mut merged_prof = if profile {
+    let mut scratch = AnyScratch::new(program.is_some());
+    let mut prof = if profile_out.is_some() {
         program.map(bytecode::ProfBuf::for_program)
     } else {
         None
     };
-    for (outcomes, wstat, wprof) in worker_outputs {
-        worker_stats.push(wstat);
-        if let (Some(m), Some(w)) = (merged_prof.as_mut(), wprof.as_ref()) {
-            m.merge(w);
-        }
-        for (gl, r) in outcomes {
-            slots[gl] = Some(r);
-        }
-    }
-    if let Some(out) = workers_out {
-        *out = worker_stats;
-    }
-
-    // Replay traces in group-linear order; stop at the first failing group.
     let mut stats = LaunchStats::default();
-    for (gl, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(Ok((gs, buf))) => {
-                stats.instructions += gs.instructions;
-                stats.barriers += gs.barriers;
-                stats.work_items += gs.items;
-                stats.work_groups += 1;
-                buf.replay(gl as u32, sink);
-            }
-            Some(Err(e)) => return Err(e),
-            None => {
-                return Err(ExecError::Internal(
-                    "work-group skipped without a preceding error".into(),
-                ))
-            }
-        }
+    for gl in 0..n_groups {
+        let gs = run_group_any(
+            &launch,
+            program,
+            delinearize(gl, ng),
+            gl as u32,
+            sink,
+            &mut budget,
+            &mut scratch,
+            prof.as_mut(),
+        )?;
+        stats.instructions += gs.instructions;
+        stats.barriers += gs.barriers;
+        stats.work_items += gs.items;
+        stats.work_groups += 1;
+        sink.workgroup_done(gl as u32);
     }
     if let Some(out) = profile_out {
-        if let (Some(buf), Some(p)) = (&merged_prof, program) {
+        if let (Some(buf), Some(p)) = (&prof, program) {
             *out = Some(p.aggregate(buf));
         }
     }
@@ -842,9 +506,8 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Per-worker scratch for whichever engine the launch selected. A worker
-/// keeps one variant for its whole lifetime, so register files and local
-/// memory are still reused across the groups it executes.
+/// Scratch for whichever engine the launch selected, so register files
+/// and local memory are reused across the groups of the launch.
 enum AnyScratch {
     Interp(Scratch),
     Bytecode(bytecode::BcScratch),
@@ -863,8 +526,7 @@ impl AnyScratch {
 /// Run one group on the backend selected at launch, with panic isolation:
 /// a panic anywhere inside the group — either engine, a trace sink, or an
 /// injected fault — becomes [`ExecError::WorkerPanic`] instead of
-/// unwinding through the launch machinery (and, on a worker thread,
-/// aborting the process via `std::thread::scope`).
+/// unwinding through the launch machinery.
 #[allow(clippy::too_many_arguments)]
 fn run_group_any(
     launch: &LaunchCtx<'_>,
@@ -872,7 +534,7 @@ fn run_group_any(
     wg: [u64; 3],
     group_linear: u32,
     sink: &mut dyn TraceSink,
-    budget: &mut LocalBudget<'_>,
+    budget: &mut Budget,
     scratch: &mut AnyScratch,
     prof: Option<&mut bytecode::ProfBuf>,
 ) -> Result<GroupStats, ExecError> {
@@ -882,7 +544,7 @@ fn run_group_any(
             bytecode::run_group(p, launch, wg, group_linear, sink, budget, s, prof)
         }
         _ => Err(ExecError::Internal(
-            "worker scratch does not match the launch backend".into(),
+            "scratch does not match the launch backend".into(),
         )),
     })) {
         Ok(r) => r,
@@ -898,13 +560,13 @@ fn run_group(
     wg: [u64; 3],
     group_linear: u32,
     sink: &mut dyn TraceSink,
-    budget: &mut LocalBudget<'_>,
+    budget: &mut Budget,
     scratch: &mut Scratch,
 ) -> Result<GroupStats, ExecError> {
     let f = launch.f;
     let nd = launch.nd;
 
-    launch.pool.check_deadline()?;
+    budget.check_deadline()?;
     #[cfg(feature = "fault-injection")]
     let corrupt_group = match &launch.fault {
         Some(i) => crate::fault::group_hook(i, group_linear)?,
@@ -942,7 +604,7 @@ fn run_group(
     }
 
     // (Re)initialise the work-item states. Register files are allocated on
-    // the worker's first group and merely cleared afterwards.
+    // the launch's first group and merely cleared afterwards.
     let (lsx, lsy, lsz) = (nd.local[0], nd.local[1], nd.local[2]);
     let n_items = (lsx * lsy * lsz) as usize;
     if scratch.items.len() != n_items {
@@ -1037,7 +699,7 @@ fn run_item(
     r: &mut GroupRun<'_, '_>,
     wi: &mut WorkItem,
     sink: &mut dyn TraceSink,
-    budget: &mut LocalBudget<'_>,
+    budget: &mut Budget,
 ) -> Result<Stop, ExecError> {
     let f = r.launch.f;
     loop {

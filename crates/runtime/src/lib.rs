@@ -9,10 +9,9 @@
 //! * [`enqueue`] launches a kernel over an [`NdRange`] with full work-group
 //!   semantics: work-items of a group execute serially between barriers and
 //!   rendezvous at each [`grover_ir::value::Inst::Barrier`].
-//! * [`enqueue_with_backend`] additionally chooses a work-group schedule
-//!   ([`ExecPolicy`]) — serial, or partitioned across a pool of worker
-//!   threads with deterministic (group-linear) trace replay — and an
-//!   execution engine ([`Backend`]).
+//! * [`enqueue_with_backend`] additionally names the work-group schedule
+//!   ([`ExecPolicy`]; serial on the calling thread is the only one) and
+//!   the execution engine ([`Backend`]).
 //! * [`enqueue_observed`] records the launch as a telemetry span and can
 //!   collect a per-opcode [`OpProfile`].
 //!
@@ -62,7 +61,7 @@ pub mod val;
 pub use buffer::{Buffer, BufferData, Context};
 pub use bytecode::{disassemble, Backend, BlockProfile, OpKindProfile, OpProfile};
 pub use interp::{
-    enqueue, enqueue_with_backend, ArgValue, ExecPolicy, LaunchStats, Limits, NdRange, WorkerStat,
+    enqueue, enqueue_with_backend, ArgValue, ExecPolicy, LaunchStats, Limits, NdRange,
 };
 pub use obs::enqueue_observed;
 pub use trace::{AccessEvent, CountingSink, NullSink, SpaceBytes, TraceOp, TraceSink, VecSink};
@@ -99,8 +98,8 @@ pub enum ExecError {
     /// The launch exceeded [`Limits::max_instructions`].
     InstructionLimit,
     /// The launch exceeded [`Limits::deadline`] (wall clock). The watchdog
-    /// drains the shared instruction budget, so every worker stops within
-    /// one budget chunk of the deadline being noticed.
+    /// runs at every group start and budget refill, so the launch stops
+    /// within one budget chunk of the deadline passing.
     DeadlineExceeded,
     /// Invalid NDRange geometry.
     BadNdRange(String),
@@ -110,9 +109,7 @@ pub enum ExecError {
     /// sink, or an injected fault) was caught and converted instead of
     /// unwinding through — or aborting — the process.
     WorkerPanic {
-        /// Linear id of the group being executed (`u32::MAX` = the panic
-        /// escaped per-group isolation; provably unreachable short of a
-        /// bug in the launch machinery itself).
+        /// Linear id of the group being executed.
         group: u32,
         /// The panic payload, if it was a string.
         message: String,
@@ -144,11 +141,7 @@ impl std::fmt::Display for ExecError {
             ExecError::BadNdRange(s) => write!(f, "invalid NDRange: {s}"),
             ExecError::Unsupported(s) => write!(f, "unsupported: {s}"),
             ExecError::WorkerPanic { group, message } => {
-                if *group == u32::MAX {
-                    write!(f, "worker panicked: {message}")
-                } else {
-                    write!(f, "worker panicked in work-group {group}: {message}")
-                }
+                write!(f, "worker panicked in work-group {group}: {message}")
             }
             ExecError::Internal(s) => write!(f, "internal interpreter error: {s}"),
         }

@@ -1,11 +1,11 @@
 //! Observed kernel launches: [`enqueue_observed`] wraps the launch engine
 //! with a [`grover_obs::Recorder`] span carrying the launch's aggregate
 //! metrics — instructions, per-address-space access counts and bytes,
-//! geometry, wall time — plus one event per worker with its utilisation.
+//! geometry, wall time.
 //!
 //! With the recorder disabled (the default [`grover_obs::NoopRecorder`])
-//! the call forwards straight to the unobserved engine: no tee sink, no
-//! clock reads, no per-group timing — production pays nothing.
+//! the call forwards straight to the unobserved engine: no tee sink and no
+//! clock reads — production pays nothing.
 
 use std::time::Instant;
 
@@ -14,7 +14,7 @@ use grover_obs::{Recorder, SpanId, Value};
 
 use crate::buffer::Context;
 use crate::bytecode::{Backend, OpProfile};
-use crate::interp::{enqueue_impl, ArgValue, ExecPolicy, LaunchStats, Limits, NdRange, WorkerStat};
+use crate::interp::{enqueue_impl, ArgValue, LaunchStats, Limits, NdRange};
 use crate::trace::{AccessEvent, CountingSink, TraceSink};
 use crate::ExecError;
 
@@ -56,20 +56,18 @@ impl TraceSink for TeeSink<'_> {
 /// Launch a kernel like [`crate::enqueue_with_backend`], recording one
 /// `launch` span (under `parent`, if given) on `recorder`.
 ///
-/// Span attributes on success: `kernel`, `policy`, `workers`, `backend`,
-/// the geometry (`work_groups`, `work_items`), `instructions`, `barriers`,
-/// per-space access counts (`global_loads`, `local_stores`, ...), per-space
-/// byte tallies (`global_bytes_loaded`, ...), totals (`bytes_loaded`,
+/// Span attributes on success: `kernel`, `backend`, the geometry
+/// (`work_groups`, `work_items`), `instructions`, `barriers`, per-space
+/// access counts (`global_loads`, `local_stores`, ...), per-space byte
+/// tallies (`global_bytes_loaded`, ...), totals (`bytes_loaded`,
 /// `bytes_stored`) and `wall_us`. On failure the metrics observed up to
-/// the error are still recorded, plus `error`. Each worker additionally
-/// emits one `worker` event with `groups`, `busy_us`, `max_group_us` and
-/// `util` (busy time over launch wall time).
+/// the error are still recorded, plus `error`.
 ///
 /// When `profile_out` is `Some` and the backend is [`Backend::Bytecode`],
 /// a successful launch writes its per-opcode [`OpProfile`] through
 /// `profile_out` — its `total_charged` equals the launch's
-/// [`LaunchStats::instructions`] exactly, and it is bit-identical under
-/// every [`ExecPolicy`] — and (when the recorder is enabled) emits one
+/// [`LaunchStats::instructions`] exactly — and (when the recorder is
+/// enabled) emits one
 /// `profile` event on the launch span with `total_count`/`total_charged`
 /// plus `count.<kind>` and `charged.<kind>` attributes per executed
 /// opcode kind. With the interpreter reference, or on a failed launch,
@@ -85,42 +83,23 @@ pub fn enqueue_observed(
     nd: &NdRange,
     sink: &mut dyn TraceSink,
     limits: &Limits,
-    policy: ExecPolicy,
     backend: Backend,
     recorder: &dyn Recorder,
     parent: Option<SpanId>,
     profile_out: Option<&mut Option<OpProfile>>,
 ) -> Result<LaunchStats, ExecError> {
     if !recorder.enabled() {
-        return enqueue_impl(
-            ctx,
-            kernel,
-            args,
-            nd,
-            sink,
-            limits,
-            policy,
-            backend,
-            None,
-            profile_out,
-        );
+        return enqueue_impl(ctx, kernel, args, nd, sink, limits, backend, profile_out);
     }
 
     let span = recorder.span_start("launch", parent);
     recorder.span_attr(span, "kernel", Value::from(kernel.name.as_str()));
-    let (policy_name, workers) = match policy {
-        ExecPolicy::Serial => ("serial", 1),
-        ExecPolicy::Parallel { .. } => ("parallel", policy.worker_count()),
-    };
-    recorder.span_attr(span, "policy", Value::from(policy_name));
-    recorder.span_attr(span, "workers", Value::from(workers));
     recorder.span_attr(span, "backend", Value::from(backend.name()));
 
     let mut tee = TeeSink {
         inner: sink,
         counts: CountingSink::default(),
     };
-    let mut worker_stats: Vec<WorkerStat> = Vec::new();
     let mut profile: Option<OpProfile> = None;
     let t0 = Instant::now();
     let result = enqueue_impl(
@@ -130,9 +109,7 @@ pub fn enqueue_observed(
         nd,
         &mut tee,
         limits,
-        policy,
         backend,
-        Some(&mut worker_stats),
         profile_out.is_some().then_some(&mut profile),
     );
     let wall = t0.elapsed();
@@ -187,21 +164,6 @@ pub fn enqueue_observed(
         }
     }
 
-    let wall_us = wall.as_micros().max(1) as f64;
-    for (i, w) in worker_stats.iter().enumerate() {
-        let busy_us = w.busy.as_micros() as u64;
-        recorder.event(
-            "worker",
-            Some(span),
-            &[
-                ("worker", Value::from(i)),
-                ("groups", Value::from(w.groups)),
-                ("busy_us", Value::from(busy_us)),
-                ("max_group_us", Value::from(w.max_group.as_micros() as u64)),
-                ("util", Value::from(busy_us as f64 / wall_us)),
-            ],
-        );
-    }
     if let Some(p) = &profile {
         let mut attrs: Vec<(String, Value)> = vec![
             ("total_count".to_string(), Value::from(p.total_count)),

@@ -61,10 +61,9 @@ pub trait TraceSink {
         let _ = group;
     }
 
-    /// Whether this sink actually consumes [`AccessEvent`]s. The parallel
-    /// launch engine buffers each group's events so it can replay them in
-    /// group order; a sink that ignores accesses (e.g. [`NullSink`]) returns
-    /// `false` here and skips that buffering entirely.
+    /// Whether this sink actually consumes [`AccessEvent`]s. A sink that
+    /// ignores accesses (e.g. [`NullSink`]) returns `false` here, and the
+    /// bytecode engine then skips building the events entirely.
     fn wants_events(&self) -> bool {
         true
     }
@@ -209,9 +208,8 @@ impl TraceSink for CountingSink {
 /// every access item B issues in that same barrier interval. Completion
 /// callbacks follow the same discipline: each `item_done` entry appears
 /// after all of that item's accesses, and each `group_done` entry after all
-/// of that group's `item_done` entries. Under `ExecPolicy::Parallel` the
-/// engine replays buffered groups in group-linear order, so the recorded
-/// sequence is bit-identical to a serial run.
+/// of that group's `item_done` entries. Groups complete in group-linear
+/// order.
 #[derive(Default)]
 pub struct VecSink {
     /// All access events, in emission order.

@@ -1,16 +1,16 @@
 //! The error matrix: every recoverable [`ExecError`] variant, provoked by a
-//! real kernel, under both the serial and the parallel work-group schedule.
-//! The parallel engine replays the serial semantics, so for each scenario
-//! both policies must report the *same* error — the one belonging to the
-//! first failing group in group-linear order.
+//! real kernel, on both execution engines (the production bytecode engine
+//! and the interpreter reference). For each scenario both must report the
+//! *same* error — the one belonging to the first failing group in
+//! group-linear order.
 
 use std::time::Duration;
 
 use grover_frontend::{compile, BuildOptions};
 use grover_ir::Function;
 use grover_runtime::{
-    enqueue_with_backend, ArgValue, Backend, Context, ExecError, ExecPolicy, Limits, NdRange,
-    NullSink,
+    enqueue_with_backend, ArgValue, Backend, Context, ExecError, ExecPolicy, LaunchStats, Limits,
+    NdRange, NullSink,
 };
 
 fn kernel(src: &str) -> Function {
@@ -20,31 +20,41 @@ fn kernel(src: &str) -> Function {
         .remove(0)
 }
 
-const POLICIES: [ExecPolicy; 2] = [ExecPolicy::Serial, ExecPolicy::Parallel { threads: 4 }];
+const BACKENDS: [Backend; 2] = [Backend::Bytecode, Backend::Interp];
 
-/// Run `k` over a fresh 8-element i32 buffer per policy and hand each
-/// outcome to `check`.
-fn for_each_policy(
+/// Launch `k` over a fresh 8-element i32 buffer; returns the buffer's
+/// final contents and the launch result.
+fn launch(
     k: &Function,
     nd: &NdRange,
     limits: &Limits,
-    check: impl Fn(ExecPolicy, Result<(), ExecError>),
+    backend: Backend,
+) -> (Vec<i32>, Result<LaunchStats, ExecError>) {
+    let mut ctx = Context::new();
+    let a = ctx.zeros_i32(8);
+    let res = enqueue_with_backend(
+        &mut ctx,
+        k,
+        &[ArgValue::Buffer(a)],
+        nd,
+        &mut NullSink,
+        limits,
+        ExecPolicy::Serial,
+        backend,
+    );
+    (ctx.read_i32(a).to_vec(), res)
+}
+
+/// Run `k` over a fresh 8-element i32 buffer per engine and hand each
+/// outcome to `check`.
+fn for_each_engine(
+    k: &Function,
+    nd: &NdRange,
+    limits: &Limits,
+    check: impl Fn(Backend, Result<(), ExecError>),
 ) {
-    for policy in POLICIES {
-        let mut ctx = Context::new();
-        let a = ctx.zeros_i32(8);
-        let res = enqueue_with_backend(
-            &mut ctx,
-            k,
-            &[ArgValue::Buffer(a)],
-            nd,
-            &mut NullSink,
-            limits,
-            policy,
-            Backend::default(),
-        )
-        .map(|_| ());
-        check(policy, res);
+    for backend in BACKENDS {
+        check(backend, launch(k, nd, limits, backend).1.map(|_| ()));
     }
 }
 
@@ -58,17 +68,22 @@ fn out_of_bounds_same_under_both_policies() {
              a[i] = w;
          }",
     );
-    for_each_policy(&k, &NdRange::d1(6, 1), &Limits::default(), |policy, res| {
-        assert_eq!(
-            res.unwrap_err(),
-            ExecError::OutOfBounds {
-                buffer: 0,
-                index: 103,
-                len: 8
-            },
-            "policy {policy:?}"
-        );
-    });
+    for_each_engine(
+        &k,
+        &NdRange::d1(6, 1),
+        &Limits::default(),
+        |backend, res| {
+            assert_eq!(
+                res.unwrap_err(),
+                ExecError::OutOfBounds {
+                    buffer: 0,
+                    index: 103,
+                    len: 8
+                },
+                "{backend}"
+            );
+        },
+    );
 }
 
 #[test]
@@ -79,13 +94,12 @@ fn division_by_zero_same_under_both_policies() {
              a[w] = 100 / (2 - w);
          }",
     );
-    for_each_policy(&k, &NdRange::d1(8, 1), &Limits::default(), |policy, res| {
-        assert_eq!(
-            res.unwrap_err(),
-            ExecError::DivisionByZero,
-            "policy {policy:?}"
-        );
-    });
+    for backend in BACKENDS {
+        let (out, res) = launch(&k, &NdRange::d1(8, 1), &Limits::default(), backend);
+        assert_eq!(res.unwrap_err(), ExecError::DivisionByZero, "{backend}");
+        // Groups 0 and 1 precede the failing group and have completed.
+        assert_eq!(&out[..2], &[50, 100], "{backend}");
+    }
 }
 
 #[test]
@@ -101,18 +115,19 @@ fn barrier_divergence_same_under_both_policies() {
              a[w] = lx;
          }",
     );
-    for_each_policy(&k, &NdRange::d1(8, 2), &Limits::default(), |policy, res| {
-        assert_eq!(
-            res.unwrap_err(),
-            ExecError::BarrierDivergence,
-            "policy {policy:?}"
-        );
-    });
+    for_each_engine(
+        &k,
+        &NdRange::d1(8, 2),
+        &Limits::default(),
+        |backend, res| {
+            assert_eq!(res.unwrap_err(), ExecError::BarrierDivergence, "{backend}");
+        },
+    );
 }
 
 #[test]
 fn instruction_limit_same_under_both_policies() {
-    // An effectively unbounded loop must die on the shared budget, not hang.
+    // An effectively unbounded loop must die on the launch budget, not hang.
     let k = kernel(
         "__kernel void spin(__global int* a) {
              int acc = 0;
@@ -124,12 +139,8 @@ fn instruction_limit_same_under_both_policies() {
         max_instructions: 10_000,
         ..Limits::default()
     };
-    for_each_policy(&k, &NdRange::d1(8, 1), &limits, |policy, res| {
-        assert_eq!(
-            res.unwrap_err(),
-            ExecError::InstructionLimit,
-            "policy {policy:?}"
-        );
+    for_each_engine(&k, &NdRange::d1(8, 1), &limits, |backend, res| {
+        assert_eq!(res.unwrap_err(), ExecError::InstructionLimit, "{backend}");
     });
 }
 
@@ -141,14 +152,14 @@ fn bad_ndrange_same_under_both_policies() {
              a[get_group_id(0)] = 1;
          }",
     );
-    for_each_policy(
+    for_each_engine(
         &k,
         &NdRange::d1(10, 3),
         &Limits::default(),
-        |policy, res| {
+        |backend, res| {
             assert!(
                 matches!(res.unwrap_err(), ExecError::BadNdRange(_)),
-                "policy {policy:?}"
+                "{backend}"
             );
         },
     );
@@ -156,10 +167,8 @@ fn bad_ndrange_same_under_both_policies() {
 
 #[test]
 fn deadline_exceeded_same_under_both_policies() {
-    // A hot loop against a deadline that has effectively already passed:
-    // the watchdog drains the budget and every worker reports the deadline
-    // (never InstructionLimit — the drain must not be mistaken for budget
-    // exhaustion).
+    // A hot loop against a deadline that has effectively already passed
+    // reports the deadline, never InstructionLimit.
     let k = kernel(
         "__kernel void spin(__global int* a) {
              int acc = 0;
@@ -171,12 +180,8 @@ fn deadline_exceeded_same_under_both_policies() {
         deadline: Some(Duration::ZERO),
         ..Limits::default()
     };
-    for_each_policy(&k, &NdRange::d1(8, 1), &limits, |policy, res| {
-        assert_eq!(
-            res.unwrap_err(),
-            ExecError::DeadlineExceeded,
-            "policy {policy:?}"
-        );
+    for_each_engine(&k, &NdRange::d1(8, 1), &limits, |backend, res| {
+        assert_eq!(res.unwrap_err(), ExecError::DeadlineExceeded, "{backend}");
     });
 }
 
@@ -191,16 +196,15 @@ fn generous_deadline_does_not_trip() {
         deadline: Some(Duration::from_secs(3600)),
         ..Limits::default()
     };
-    for_each_policy(&k, &NdRange::d1(8, 1), &limits, |policy, res| {
-        assert!(res.is_ok(), "policy {policy:?}");
+    for_each_engine(&k, &NdRange::d1(8, 1), &limits, |backend, res| {
+        assert!(res.is_ok(), "{backend}");
     });
 }
 
 #[test]
-fn first_failing_group_wins_under_parallel() {
-    // Groups 2 and 5 both fail, differently. Group-linear replay means both
-    // schedules must surface group 2's out-of-bounds store, and groups 0–1
-    // must have committed their results.
+fn first_failing_group_wins() {
+    // Groups 2 and 5 both fail, differently. Group 2's out-of-bounds store
+    // is the reported error, and groups 0–1 have committed their results.
     let k = kernel(
         "__kernel void two(__global int* a) {
              int w = get_group_id(0);
@@ -209,30 +213,18 @@ fn first_failing_group_wins_under_parallel() {
              a[i] = w / d;
          }",
     );
-    for policy in POLICIES {
-        let mut ctx = Context::new();
-        let a = ctx.zeros_i32(8);
-        let err = enqueue_with_backend(
-            &mut ctx,
-            &k,
-            &[ArgValue::Buffer(a)],
-            &NdRange::d1(8, 1),
-            &mut NullSink,
-            &Limits::default(),
-            policy,
-            Backend::default(),
-        )
-        .unwrap_err();
+    for backend in BACKENDS {
+        let (out, res) = launch(&k, &NdRange::d1(8, 1), &Limits::default(), backend);
         assert_eq!(
-            err,
+            res.unwrap_err(),
             ExecError::OutOfBounds {
                 buffer: 0,
                 index: 1000,
                 len: 8
             },
-            "policy {policy:?}"
+            "{backend}"
         );
-        assert_eq!(&ctx.read_i32(a)[..2], &[0, 1], "policy {policy:?}");
+        assert_eq!(&out[..2], &[0, 1], "{backend}");
     }
 }
 
@@ -243,27 +235,47 @@ fn arg_count_same_under_both_policies() {
              a[get_group_id(0)] = n;
          }",
     );
-    for policy in POLICIES {
-        let mut ctx = Context::new();
-        let a = ctx.zeros_i32(8);
-        let err = enqueue_with_backend(
-            &mut ctx,
-            &k,
-            &[ArgValue::Buffer(a)],
-            &NdRange::d1(8, 1),
-            &mut NullSink,
-            &Limits::default(),
-            policy,
-            Backend::default(),
-        )
-        .unwrap_err();
-        assert_eq!(
-            err,
-            ExecError::ArgCount {
-                expected: 2,
-                got: 1
-            },
-            "policy {policy:?}"
-        );
+    for_each_engine(
+        &k,
+        &NdRange::d1(8, 1),
+        &Limits::default(),
+        |backend, res| {
+            assert_eq!(
+                res.unwrap_err(),
+                ExecError::ArgCount {
+                    expected: 2,
+                    got: 1
+                },
+                "{backend}"
+            );
+        },
+    );
+}
+
+#[test]
+fn instruction_limit_is_exact() {
+    // The budget is handed out in chunks of 2^20 instructions; a launch
+    // that spends more than one chunk still fails on exactly the
+    // instruction after the budget runs out, never earlier. Straight-line
+    // code has no phis, so every counted instruction spends budget.
+    let k = kernel(
+        "__kernel void count(__global int* a) {
+             int g = get_global_id(0);
+             a[g & 7] = g * 3 + 1;
+         }",
+    );
+    let nd = NdRange::d1(1 << 18, 64);
+    let limited = |max_instructions| Limits {
+        max_instructions,
+        ..Limits::default()
+    };
+    for backend in BACKENDS {
+        let (_, res) = launch(&k, &nd, &Limits::default(), backend);
+        let needed = res.unwrap().instructions;
+        assert!(needed > 1 << 20, "{backend}: {needed} fits in one chunk");
+        let (_, res) = launch(&k, &nd, &limited(needed), backend);
+        assert_eq!(res.unwrap().instructions, needed, "{backend}");
+        let (_, res) = launch(&k, &nd, &limited(needed - 1), backend);
+        assert_eq!(res.unwrap_err(), ExecError::InstructionLimit, "{backend}");
     }
 }

@@ -1,6 +1,5 @@
 //! Exercises the `fault-injection` feature against the real engine: every
-//! [`FaultSite`]/[`FaultKind`] combination the hardened pipeline relies on,
-//! under both work-group schedules.
+//! [`FaultSite`]/[`FaultKind`] combination the hardened pipeline relies on.
 //!
 //! Plans are always targeted at a per-test kernel name: `inject` serialises
 //! concurrent injectors, but launches from other tests in this binary may
@@ -17,8 +16,6 @@ use grover_runtime::{
     NullSink,
 };
 
-const POLICIES: [ExecPolicy; 2] = [ExecPolicy::Serial, ExecPolicy::Parallel { threads: 4 }];
-
 /// `__kernel void <name>(__global int* a) { a[w] = w; }` over 8 groups.
 fn store_kernel(name: &str) -> Function {
     let src = format!(
@@ -33,7 +30,7 @@ fn store_kernel(name: &str) -> Function {
         .remove(0)
 }
 
-fn launch(k: &Function, policy: ExecPolicy, limits: &Limits) -> (Context, Result<(), ExecError>) {
+fn launch(k: &Function, limits: &Limits) -> (Context, Result<(), ExecError>) {
     let mut ctx = Context::new();
     let a = ctx.zeros_i32(8);
     let res = enqueue_with_backend(
@@ -43,7 +40,7 @@ fn launch(k: &Function, policy: ExecPolicy, limits: &Limits) -> (Context, Result
         &NdRange::d1(8, 1),
         &mut NullSink,
         limits,
-        policy,
+        ExecPolicy::Serial,
         Backend::default(),
     )
     .map(|_| ());
@@ -59,15 +56,13 @@ fn group_panic_is_isolated_and_attributed() {
         kind: FaultKind::Panic,
         max_fires: 0,
     });
-    for policy in POLICIES {
-        let (_, res) = launch(&k, policy, &Limits::default());
-        match res.unwrap_err() {
-            ExecError::WorkerPanic { group, message } => {
-                assert_eq!(group, 2, "policy {policy:?}");
-                assert!(message.contains("fault-injection"), "{message}");
-            }
-            other => panic!("expected WorkerPanic, got {other:?} under {policy:?}"),
+    let (_, res) = launch(&k, &Limits::default());
+    match res.unwrap_err() {
+        ExecError::WorkerPanic { group, message } => {
+            assert_eq!(group, 2);
+            assert!(message.contains("fault-injection"), "{message}");
         }
+        other => panic!("expected WorkerPanic, got {other:?}"),
     }
 }
 
@@ -83,9 +78,7 @@ fn launch_start_panic_escapes_enqueue() {
         kind: FaultKind::Panic,
         max_fires: 0,
     });
-    let unwound = catch_unwind(AssertUnwindSafe(|| {
-        launch(&k, ExecPolicy::Serial, &Limits::default())
-    }));
+    let unwound = catch_unwind(AssertUnwindSafe(|| launch(&k, &Limits::default())));
     assert!(unwound.is_err(), "launch-entry panic must unwind");
 }
 
@@ -99,10 +92,8 @@ fn injected_error_surfaces_verbatim() {
         kind: FaultKind::Error(injected.clone()),
         max_fires: 0,
     });
-    for policy in POLICIES {
-        let (_, res) = launch(&k, policy, &Limits::default());
-        assert_eq!(res.unwrap_err(), injected, "policy {policy:?}");
-    }
+    let (_, res) = launch(&k, &Limits::default());
+    assert_eq!(res.unwrap_err(), injected);
 }
 
 #[test]
@@ -118,14 +109,8 @@ fn sleep_trips_the_watchdog() {
         deadline: Some(Duration::from_millis(5)),
         ..Limits::default()
     };
-    for policy in POLICIES {
-        let (_, res) = launch(&k, policy, &limits);
-        assert_eq!(
-            res.unwrap_err(),
-            ExecError::DeadlineExceeded,
-            "policy {policy:?}"
-        );
-    }
+    let (_, res) = launch(&k, &limits);
+    assert_eq!(res.unwrap_err(), ExecError::DeadlineExceeded);
 }
 
 #[test]
@@ -137,17 +122,15 @@ fn corrupt_stores_perturbs_globals_from_trigger_group() {
         kind: FaultKind::CorruptStores,
         max_fires: 0,
     });
-    for policy in POLICIES {
-        let (ctx, res) = launch(&k, policy, &Limits::default());
-        res.unwrap();
-        let got = ctx.buffers()[0].clone();
-        let grover_runtime::BufferData::I32(got) = got else {
-            panic!("expected i32 buffer");
-        };
-        // Group 0 is clean; groups >= 1 store w ^ 1.
-        let want: Vec<i32> = (0..8).map(|w| if w == 0 { 0 } else { w ^ 1 }).collect();
-        assert_eq!(got, want, "policy {policy:?}");
-    }
+    let (ctx, res) = launch(&k, &Limits::default());
+    res.unwrap();
+    let got = ctx.buffers()[0].clone();
+    let grover_runtime::BufferData::I32(got) = got else {
+        panic!("expected i32 buffer");
+    };
+    // Group 0 is clean; groups >= 1 store w ^ 1.
+    let want: Vec<i32> = (0..8).map(|w| if w == 0 { 0 } else { w ^ 1 }).collect();
+    assert_eq!(got, want);
 }
 
 #[test]
@@ -159,9 +142,9 @@ fn max_fires_limits_the_fault_to_n_launches() {
         kind: FaultKind::Error(ExecError::Internal("transient".into())),
         max_fires: 1,
     });
-    let (_, first) = launch(&k, ExecPolicy::Serial, &Limits::default());
+    let (_, first) = launch(&k, &Limits::default());
     assert!(first.is_err(), "first launch must hit the fault");
-    let (ctx, second) = launch(&k, ExecPolicy::Serial, &Limits::default());
+    let (ctx, second) = launch(&k, &Limits::default());
     second.expect("fault exhausted — second launch must be clean");
     let grover_runtime::BufferData::I32(got) = &ctx.buffers()[0] else {
         panic!("expected i32 buffer");
@@ -179,7 +162,7 @@ fn instruction_site_fault_fires_mid_group() {
         kind: FaultKind::Error(injected.clone()),
         max_fires: 0,
     });
-    let (_, res) = launch(&k, ExecPolicy::Serial, &Limits::default());
+    let (_, res) = launch(&k, &Limits::default());
     assert_eq!(res.unwrap_err(), injected);
 }
 
@@ -193,9 +176,9 @@ fn plans_target_only_matching_kernels() {
         kind: FaultKind::Panic,
         max_fires: 0,
     });
-    let (_, res) = launch(&hit, ExecPolicy::Serial, &Limits::default());
+    let (_, res) = launch(&hit, &Limits::default());
     assert!(matches!(res.unwrap_err(), ExecError::WorkerPanic { .. }));
-    let (_, res) = launch(&miss, ExecPolicy::Serial, &Limits::default());
+    let (_, res) = launch(&miss, &Limits::default());
     res.expect("plan must not match a differently-named kernel");
 }
 
@@ -209,10 +192,10 @@ fn dropping_the_guard_uninstalls_the_plan() {
             kind: FaultKind::Panic,
             max_fires: 0,
         });
-        let (_, res) = launch(&k, ExecPolicy::Serial, &Limits::default());
+        let (_, res) = launch(&k, &Limits::default());
         assert!(res.is_err());
     }
-    let (_, res) = launch(&k, ExecPolicy::Serial, &Limits::default());
+    let (_, res) = launch(&k, &Limits::default());
     res.expect("plan must be gone after the guard drops");
 }
 

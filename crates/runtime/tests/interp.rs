@@ -460,9 +460,8 @@ fn division_by_zero_reported() {
 
 #[test]
 fn parallel_instruction_limit_enforced() {
-    // An infinite loop in one work-item must still trip the shared budget
-    // under the parallel schedule (the pool is chunked per worker, so the
-    // launch stops within workers * chunk of the limit).
+    // An infinite loop in every group of a multi-group launch must trip the
+    // one launch-wide budget the groups share, on both engines.
     let k = kernel(
         "__kernel void spin(__global int* a) {
              int x = 0;
@@ -470,49 +469,53 @@ fn parallel_instruction_limit_enforced() {
              a[1] = x;
          }",
     );
-    let mut ctx = Context::new();
-    let a = ctx.zeros_i32(2);
-    let err = enqueue_with_backend(
-        &mut ctx,
-        &k,
-        &[ArgValue::Buffer(a)],
-        &NdRange::d1(4, 1),
-        &mut NullSink,
-        &Limits {
-            max_instructions: 10_000,
-            ..Limits::default()
-        },
-        ExecPolicy::Parallel { threads: 2 },
-        Backend::default(),
-    )
-    .unwrap_err();
-    assert_eq!(err, ExecError::InstructionLimit);
+    for backend in [Backend::Bytecode, Backend::Interp] {
+        let mut ctx = Context::new();
+        let a = ctx.zeros_i32(2);
+        let err = enqueue_with_backend(
+            &mut ctx,
+            &k,
+            &[ArgValue::Buffer(a)],
+            &NdRange::d1(4, 1),
+            &mut NullSink,
+            &Limits {
+                max_instructions: 10_000,
+                ..Limits::default()
+            },
+            ExecPolicy::Serial,
+            backend,
+        )
+        .unwrap_err();
+        assert_eq!(err, ExecError::InstructionLimit, "{backend}");
+    }
 }
 
 #[test]
 fn parallel_error_reports_first_failing_group() {
-    // Group 2 (and only group 2) divides by zero; whatever the schedule,
-    // the reported error must be that group's — the serial answer.
+    // Group 2 (and only group 2) divides by zero; the reported error is that
+    // group's, and the groups before it have committed their writes.
     let k = kernel(
         "__kernel void f(__global int* a) {
              int w = get_group_id(0);
              a[w] = 100 / (2 - w);
          }",
     );
-    let mut ctx = Context::new();
-    let a = ctx.zeros_i32(8);
-    let err = enqueue_with_backend(
-        &mut ctx,
-        &k,
-        &[ArgValue::Buffer(a)],
-        &NdRange::d1(8, 1),
-        &mut NullSink,
-        &Limits::default(),
-        ExecPolicy::Parallel { threads: 4 },
-        Backend::default(),
-    )
-    .unwrap_err();
-    assert_eq!(err, ExecError::DivisionByZero);
-    // Groups 0 and 1 precede the failing group and must have completed.
-    assert_eq!(&ctx.read_i32(a)[..2], &[50, 100]);
+    for backend in [Backend::Bytecode, Backend::Interp] {
+        let mut ctx = Context::new();
+        let a = ctx.zeros_i32(8);
+        let err = enqueue_with_backend(
+            &mut ctx,
+            &k,
+            &[ArgValue::Buffer(a)],
+            &NdRange::d1(8, 1),
+            &mut NullSink,
+            &Limits::default(),
+            ExecPolicy::Serial,
+            backend,
+        )
+        .unwrap_err();
+        assert_eq!(err, ExecError::DivisionByZero, "{backend}");
+        // Groups 0 and 1 precede the failing group and must have completed.
+        assert_eq!(&ctx.read_i32(a)[..2], &[50, 100], "{backend}");
+    }
 }

@@ -70,7 +70,7 @@ use grover_ir::{Function, Scalar, Type};
 use grover_obs::json::{self, array, Json, Obj};
 use grover_obs::{Recorder, SpanId, TraceId, Value};
 use grover_predict::{schema_hash, FeatureVector, Model as PredictModel};
-use grover_runtime::{ArgValue, Context, ExecPolicy, Limits, NdRange};
+use grover_runtime::{ArgValue, Context, Limits, NdRange};
 use grover_tuner::{write_decision_fields, Choice, FallbackReason, TuneError, Tuner, Workload};
 
 use crate::breaker::{Admit, CircuitBreaker};
@@ -1449,11 +1449,6 @@ fn run_miss(
     // span down to the launches carries the request's trace id.
     tuner.parent = Some(tune_span);
     tuner.profile_ops = shared.config.profile_ops;
-    if let Some(threads) = body.u64_of("threads") {
-        tuner.policy = ExecPolicy::Parallel {
-            threads: threads as usize,
-        };
-    }
     tuner.limits = Limits {
         deadline: effective_deadline,
         ..Limits::default()

@@ -325,8 +325,6 @@ impl std::error::Error for TuneError {}
 /// independent and the measured cycle counts are identical to a
 /// back-to-back run. The fastest candidate becomes the transformed side of
 /// the decision, and its sequence is recorded in [`Decision::sequence`].
-/// `policy` additionally selects the work-group schedule used inside each
-/// measurement.
 ///
 /// # Hardening
 ///
@@ -342,8 +340,6 @@ impl std::error::Error for TuneError {}
 pub struct Tuner {
     /// Similarity threshold (paper uses 5 %).
     pub threshold: f64,
-    /// Work-group schedule used for the measurement launches.
-    pub policy: ExecPolicy,
     /// Execution backend for every launch this tuner performs (race
     /// measurements and the differential-output guard alike). Defaults
     /// to the production engine ([`Backend::default`]); differential
@@ -367,7 +363,7 @@ pub struct Tuner {
     /// `grover_devsim::candidate_sequences`; an explicit list (e.g. the
     /// CLI's `--passes`) restricts the race to exactly those sequences.
     pub sequences: Option<Vec<String>>,
-    /// Telemetry sink. Each uncached [`Tuner::tune_pair`] records one
+    /// Telemetry sink. Each uncached [`Tuner::tune`] records one
     /// `tune` span (both race measurements appear as nested `launch`
     /// spans), `retry`/`measure`/`verify` events, and a final `decision`
     /// event; cache hits record a `decision` event with `cached: true`.
@@ -383,15 +379,13 @@ pub struct Tuner {
     /// count/charge attributes. The interpreter reference
     /// ([`Backend::Interp`]) cannot profile. Default off.
     pub profile_ops: bool,
-    /// Predictive model consulted by [`Tuner::predict_first`] mode.
-    /// `None` means every tune is measured.
-    pub predictor: Option<Arc<PredictModel>>,
-    /// Answer from [`Tuner::predictor`] before measuring: when the model's
+    /// Predictive model consulted before measuring. When the model's
     /// confidence clears [`Tuner::predict_threshold`] the decision is
     /// served with zero launches; otherwise the model abstains and the
     /// measured race runs as usual (and a disagreeing measured outcome
-    /// increments [`Tuner::predict_wrong`]). Default off.
-    pub predict_first: bool,
+    /// increments [`Tuner::predict_wrong`]). `None` (the default) means
+    /// every tune is measured.
+    pub predictor: Option<Arc<PredictModel>>,
     /// Minimum model confidence for a zero-launch predicted decision.
     pub predict_threshold: f64,
     cache: HashMap<(String, String), Decision>,
@@ -424,7 +418,6 @@ impl Tuner {
     pub fn new() -> Tuner {
         Tuner {
             threshold: 0.05,
-            policy: ExecPolicy::Serial,
             backend: Backend::default(),
             limits: Limits::default(),
             retry: RetryPolicy::default(),
@@ -435,7 +428,6 @@ impl Tuner {
             parent: None,
             profile_ops: false,
             predictor: None,
-            predict_first: false,
             predict_threshold: 0.7,
             cache: HashMap::new(),
             transformed: HashMap::new(),
@@ -444,14 +436,6 @@ impl Tuner {
             predict_hits: 0,
             predict_abstains: 0,
             predict_wrong: 0,
-        }
-    }
-
-    /// A tuner measuring under an explicit work-group schedule.
-    pub fn with_policy(policy: ExecPolicy) -> Tuner {
-        Tuner {
-            policy,
-            ..Tuner::new()
         }
     }
 
@@ -483,9 +467,9 @@ impl Tuner {
         self.predict_hits
     }
 
-    /// Predict-first tunes where the model abstained (no model, unknown
-    /// device, or confidence below [`Tuner::predict_threshold`]) and the
-    /// measured race ran instead.
+    /// Tunes where the model abstained (no model for the device, or
+    /// confidence below [`Tuner::predict_threshold`]) and the measured race
+    /// ran instead.
     pub fn predict_abstains(&self) -> u64 {
         self.predict_abstains
     }
@@ -520,13 +504,13 @@ impl Tuner {
         }
         let candidates = self.build_candidates(kernel, device)?;
 
-        // Predict-first: consult the model before spending any launch.
-        // A confident answer is served directly (zero launches); an
+        // With a model, consult it before spending any launch. A
+        // confident answer is served directly (zero launches); an
         // abstention falls through to the measured race, whose outcome is
         // then compared against the abstained verdict.
         let mut abstained: Option<Prediction> = None;
-        if self.predict_first {
-            match self.predict_decision(kernel, device, &candidates, workload) {
+        if let Some(model) = self.predictor.clone() {
+            match self.predict_decision(&model, kernel, device, &candidates, workload) {
                 (Some(d), _) => return Ok(d),
                 (None, p) => abstained = p,
             }
@@ -553,22 +537,19 @@ impl Tuner {
         Ok(d)
     }
 
-    /// The model half of predict-first mode: extract features (static,
-    /// no launch), score, and either build a zero-launch [`Decision`] or
-    /// abstain. Returns `(hit decision, prediction)` — the prediction is
-    /// returned even on abstain so the caller can grade it against the
-    /// measured race.
+    /// The model half of a tune: extract features (static, no launch),
+    /// score, and either build a zero-launch [`Decision`] or abstain.
+    /// Returns `(hit decision, prediction)` — the prediction is returned
+    /// even on abstain so the caller can grade it against the measured
+    /// race.
     fn predict_decision(
         &mut self,
+        model: &PredictModel,
         kernel: &Function,
         device: &str,
         candidates: &[Candidate],
         workload: &Workload,
     ) -> (Option<Decision>, Option<Prediction>) {
-        let Some(model) = self.predictor.clone() else {
-            self.predict_abstains += 1;
-            return (None, None);
-        };
         let recorder = self.recorder.clone();
         let rec: &dyn Recorder = &*recorder;
         // Geometry comes from one workload instantiation; building a
@@ -646,34 +627,6 @@ impl Tuner {
         result
     }
 
-    /// Tune an externally-prepared `(original, transformed)` pair — for
-    /// callers that run their own transform/optimisation pipeline (e.g. the
-    /// CLI's benchmark harness, which may restrict Grover to a subset of
-    /// buffers). The pair races exactly as before PR 9 (two launches); the
-    /// decision records the tuned pipeline's sequence, which is what
-    /// `prepare_pair`-style callers apply. Caches under
-    /// `(kernel.name, device)` exactly like [`Tuner::tune`], and registers
-    /// `transformed` so [`Tuner::best_kernel`] resolves it.
-    pub fn tune_pair(
-        &mut self,
-        kernel: &Function,
-        transformed: &Function,
-        report: GroverReport,
-        device: &str,
-        workload: &Workload,
-    ) -> Result<Decision, TuneError> {
-        // Fail fast on a bad device name before spending any measurement.
-        if Device::by_name(device).is_none() {
-            return Err(TuneError::UnknownDevice(device.to_string()));
-        }
-        let candidate = Candidate {
-            sequence: Sequence::tuned_pipeline().spec(),
-            kernel: transformed.clone(),
-            report,
-        };
-        self.tune_candidates(kernel, vec![candidate], device, workload)
-    }
-
     /// Build one transformed candidate per sequence spec: parse + validate
     /// the sequence, apply it to a fresh clone, refuse kernels with nothing
     /// to disable. Every candidate set starts from the same pristine
@@ -715,7 +668,7 @@ impl Tuner {
         Ok(out)
     }
 
-    /// The cache-check + telemetry shell around the race.
+    /// The telemetry shell around the race.
     fn tune_candidates(
         &mut self,
         kernel: &Function,
@@ -725,19 +678,10 @@ impl Tuner {
     ) -> Result<Decision, TuneError> {
         let recorder = self.recorder.clone();
         let rec: &dyn Recorder = &*recorder;
-        let key = (kernel.name.clone(), device.to_string());
-        if let Some(d) = self.cache.get(&key) {
-            if rec.enabled() {
-                rec.event("decision", self.parent, &decision_attrs(&key.0, d, true));
-            }
-            return Ok(d.clone());
-        }
-
         let span = rec.enabled().then(|| rec.span_start("tune", self.parent));
         if let Some(span) = span {
             rec.span_attr(span, "kernel", Value::from(kernel.name.as_str()));
             rec.span_attr(span, "device", Value::from(device));
-            rec.span_attr(span, "policy", Value::from(policy_name(self.policy)));
             rec.span_attr(span, "backend", Value::from(self.backend.name()));
             rec.span_attr(span, "threshold", Value::from(self.threshold));
             rec.span_attr(span, "verify_outputs", Value::from(self.verify_outputs));
@@ -775,7 +719,6 @@ impl Tuner {
     ) -> Result<Decision, TuneError> {
         let recorder = self.recorder.clone();
         let rec: &dyn Recorder = &*recorder;
-        let policy = self.policy;
         let backend = self.backend;
         let limits = self.limits;
         let retry = self.retry;
@@ -797,17 +740,7 @@ impl Tuner {
                 .map(|(c, w)| {
                     let ck = &c.kernel;
                     s.spawn(move || {
-                        simulate_caught(
-                            ck,
-                            device,
-                            w,
-                            policy,
-                            backend,
-                            &limits,
-                            rec,
-                            span,
-                            profile_ops,
-                        )
+                        simulate_caught(ck, device, w, backend, &limits, rec, span, profile_ops)
                     })
                 })
                 .collect();
@@ -815,7 +748,6 @@ impl Tuner {
                 kernel,
                 device,
                 w_with,
-                policy,
                 backend,
                 &limits,
                 rec,
@@ -855,7 +787,6 @@ impl Tuner {
                 kernel,
                 device,
                 workload.instantiate(),
-                policy,
                 backend,
                 &limits,
                 rec,
@@ -881,7 +812,6 @@ impl Tuner {
                     &c.kernel,
                     device,
                     workload.instantiate(),
-                    policy,
                     backend,
                     &limits,
                     rec,
@@ -1105,13 +1035,6 @@ fn choice_of(v: Verdict) -> Choice {
     }
 }
 
-fn policy_name(policy: ExecPolicy) -> &'static str {
-    match policy {
-        ExecPolicy::Serial => "serial",
-        ExecPolicy::Parallel { .. } => "parallel",
-    }
-}
-
 /// `(kind, detail)` tags of a measurement failure, matching the
 /// [`FallbackReason::kind`] vocabulary.
 fn failure_tag(f: &MeasureFailure) -> (&'static str, String) {
@@ -1228,14 +1151,13 @@ fn simulate(
     kernel: &Function,
     device: &str,
     workload: (Context, Vec<ArgValue>, NdRange),
-    policy: ExecPolicy,
     backend: Backend,
     limits: &Limits,
     rec: &dyn Recorder,
     parent: Option<SpanId>,
     profile_ops: bool,
 ) -> Result<u64, MeasureFailure> {
-    // The device name is validated by `tune_pair` before any measurement;
+    // The device name is validated by `tune` before any measurement;
     // a lookup failure here means the registry changed under us.
     let mut dev = Device::by_name(device).ok_or_else(|| {
         MeasureFailure::Exec(ExecError::Internal(format!(
@@ -1253,7 +1175,6 @@ fn simulate(
         &nd,
         &mut dev,
         limits,
-        policy,
         backend,
         rec,
         parent,
@@ -1271,7 +1192,6 @@ fn simulate_caught(
     kernel: &Function,
     device: &str,
     workload: (Context, Vec<ArgValue>, NdRange),
-    policy: ExecPolicy,
     backend: Backend,
     limits: &Limits,
     rec: &dyn Recorder,
@@ -1283,7 +1203,6 @@ fn simulate_caught(
             kernel,
             device,
             workload,
-            policy,
             backend,
             limits,
             rec,
@@ -1584,20 +1503,6 @@ mod tests {
             Err(TuneError::InvalidSequence(_))
         ));
         assert_eq!(t2.races_run(), 0);
-    }
-
-    #[test]
-    fn tune_pair_still_races_two_and_labels_the_tuned_pipeline() {
-        let k = staged_kernel();
-        let w = workload();
-        let rec = Arc::new(grover_obs::MemoryRecorder::new());
-        let mut t = Tuner::new();
-        t.recorder = rec.clone();
-        let mut transformed = k.clone();
-        let report = grover_core::Grover::new().run_on(&mut transformed);
-        let d = t.tune_pair(&k, &transformed, report, "SNB", &w).unwrap();
-        assert_eq!(d.sequence, Sequence::tuned_pipeline().spec());
-        assert_eq!(rec.snapshot().spans_named("launch").len(), 2);
     }
 
     #[test]
