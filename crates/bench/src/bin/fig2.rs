@@ -5,7 +5,8 @@
 //! The paper's MM experiment removes the local tile of matrix A while
 //! keeping matrix B's — our NVD-MM-A variant.
 
-use grover_bench::{fig2_cases, np_bar, paper_direction, run_cases, scale_from_env, Verdict};
+use grover_bench::{fig2_cases, np_bar, paper_direction, run_cases, scale_from_env};
+use grover_predict::{Verdict, SIMILARITY_THRESHOLD};
 
 fn main() {
     let scale = scale_from_env();
@@ -33,11 +34,11 @@ fn main() {
                     );
                 }
                 let dir = paper_direction(&r.app, &r.device);
-                let verdict = Verdict::of(r.np, 0.05);
+                let verdict = Verdict::from_np(r.np, SIMILARITY_THRESHOLD);
                 let mark = match dir {
                     Some(true) => {
                         claimed += 1;
-                        if verdict == Verdict::Gain {
+                        if verdict == Verdict::WithoutLocalMemory {
                             matched += 1;
                             " (paper: gain ✓)"
                         } else {
@@ -46,7 +47,7 @@ fn main() {
                     }
                     Some(false) => {
                         claimed += 1;
-                        if verdict == Verdict::Loss {
+                        if verdict == Verdict::WithLocalMemory {
                             matched += 1;
                             " (paper: loss ✓)"
                         } else {

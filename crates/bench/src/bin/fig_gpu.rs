@@ -3,8 +3,9 @@
 //! GPUs)." — the full 11-application matrix on the three GPU models,
 //! complementing Fig. 10's CPU-only evaluation.
 
-use grover_bench::{np_bar, run_cases, scale_from_env, Verdict};
+use grover_bench::{np_bar, run_cases, scale_from_env};
 use grover_kernels::all_apps;
+use grover_predict::{Verdict, SIMILARITY_THRESHOLD};
 
 fn main() {
     let scale = scale_from_env();
@@ -29,9 +30,9 @@ fn main() {
                     println!("--- {} ---", r.device);
                     println!("{:<11} {:>8}  0        1.0        2.0", "app", "np");
                 }
-                match Verdict::of(r.np, 0.05) {
-                    Verdict::Gain => tallies[0] += 1,
-                    Verdict::Loss => tallies[1] += 1,
+                match Verdict::from_np(r.np, SIMILARITY_THRESHOLD) {
+                    Verdict::WithoutLocalMemory => tallies[0] += 1,
+                    Verdict::WithLocalMemory => tallies[1] += 1,
                     Verdict::Similar => tallies[2] += 1,
                 }
                 println!("{:<11} {:>8.3}  {}", r.app, r.np, np_bar(r.np));

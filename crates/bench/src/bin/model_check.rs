@@ -9,9 +9,34 @@
 
 use grover_bench::scale_from_env;
 use grover_devsim::profiles::cpu_by_name;
-use grover_devsim::{agreement, Agreement, AnalyticCpuModel, Device, OpCounts};
+use grover_devsim::{AnalyticCpuModel, Device, OpCounts};
 use grover_kernels::{all_apps, prepare_pair, run_prepared};
+use grover_predict::{Verdict, SIMILARITY_THRESHOLD};
 use grover_runtime::CountingSink;
+
+/// How well a predicted np matched a measured one, compared as verdicts
+/// at the paper's similarity threshold.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Agreement {
+    /// Same verdict (gain/loss/similar).
+    Exact,
+    /// One side says similar, the other gain or loss.
+    Near,
+    /// Opposite verdicts (one gain, one loss).
+    Opposite,
+}
+
+fn agreement(predicted: f64, measured: f64) -> Agreement {
+    let p = Verdict::from_np(predicted, SIMILARITY_THRESHOLD);
+    let m = Verdict::from_np(measured, SIMILARITY_THRESHOLD);
+    if p == m {
+        Agreement::Exact
+    } else if p == Verdict::Similar || m == Verdict::Similar {
+        Agreement::Near
+    } else {
+        Agreement::Opposite
+    }
+}
 
 fn main() {
     let scale = scale_from_env();
@@ -54,7 +79,7 @@ fn main() {
         };
         let sim_np = sim(&pair.original) as f64 / sim(&pair.transformed).max(1) as f64;
 
-        let a = agreement(model_np, sim_np, 0.05);
+        let a = agreement(model_np, sim_np);
         let label = match a {
             Agreement::Exact => {
                 tallies[0] += 1;
@@ -86,4 +111,19 @@ fn main() {
     println!("Count-based models miss layout effects — the cases they get wrong are");
     println!("exactly the cache-conflict ones, supporting the paper's case for");
     println!("empirical auto-tuning over modelling.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn agreement_classification() {
+        assert_eq!(agreement(1.2, 1.3), Agreement::Exact);
+        assert_eq!(agreement(0.9, 0.8), Agreement::Exact);
+        assert_eq!(agreement(1.0, 1.02), Agreement::Exact);
+        assert_eq!(agreement(1.2, 1.0), Agreement::Near);
+        assert_eq!(agreement(1.0, 0.9), Agreement::Near);
+        assert_eq!(agreement(1.2, 0.8), Agreement::Opposite);
+    }
 }

@@ -436,7 +436,7 @@ fn predict_once(addr: SocketAddr, body: &str, tally: &Tally) {
 /// hammer `/v1/predict` → assert the launch counters never moved.
 fn run_predict_mode(clients: usize, requests: u64, distinct: u64, workers: usize) -> ExitCode {
     use grover_frontend::{compile, BuildOptions};
-    use grover_predict::{CorpusRow, FeatureVector, Model, TrainConfig, Verdict};
+    use grover_predict::{CorpusRow, FeatureVector, Model, TrainConfig};
     use grover_runtime::{ArgValue, Context, NdRange};
     use grover_tuner::{Tuner, Workload};
 
@@ -475,7 +475,7 @@ fn run_predict_mode(clients: usize, requests: u64, distinct: u64, workers: usize
             app: format!("stage-{g}"),
             kernel: kernel.name.clone(),
             device: "SNB".to_string(),
-            choice: Verdict::parse(d.choice.kind()).expect("choice tags coincide"),
+            choice: d.choice,
             np: d.np,
             cycles_with: d.cycles_with,
             cycles_without: d.cycles_without,

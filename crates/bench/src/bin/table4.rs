@@ -3,8 +3,9 @@
 
 use std::collections::BTreeMap;
 
-use grover_bench::{fig10_cases, run_cases, scale_from_env, Verdict};
+use grover_bench::{fig10_cases, run_cases, scale_from_env};
 use grover_devsim::CPU_DEVICES;
+use grover_predict::{Verdict, SIMILARITY_THRESHOLD};
 
 fn main() {
     let scale = scale_from_env();
@@ -12,25 +13,28 @@ fn main() {
     let cases = fig10_cases();
     let results = run_cases(&cases, scale);
 
-    let mut counts: BTreeMap<(&str, Verdict), usize> = BTreeMap::new();
+    // Per device: [gain, loss, similar].
+    let mut counts: BTreeMap<&str, [usize; 3]> = BTreeMap::new();
     let mut total = 0;
     for r in results.iter().flatten() {
-        let v = Verdict::of(r.np, 0.05);
+        let column = match Verdict::from_np(r.np, SIMILARITY_THRESHOLD) {
+            Verdict::WithoutLocalMemory => 0,
+            Verdict::WithLocalMemory => 1,
+            Verdict::Similar => 2,
+        };
         let dev: &str = CPU_DEVICES
             .iter()
             .find(|d| **d == r.device)
             .copied()
             .unwrap_or("other");
-        *counts.entry((dev, v)).or_insert(0) += 1;
+        counts.entry(dev).or_default()[column] += 1;
         total += 1;
     }
 
     println!("{:<9} {:>6} {:>6} {:>8}", "", "Gain", "Loss", "Similar");
     let mut sums = [0usize; 3];
     for dev in CPU_DEVICES {
-        let g = counts.get(&(dev, Verdict::Gain)).copied().unwrap_or(0);
-        let l = counts.get(&(dev, Verdict::Loss)).copied().unwrap_or(0);
-        let s = counts.get(&(dev, Verdict::Similar)).copied().unwrap_or(0);
+        let [g, l, s] = counts.get(dev).copied().unwrap_or_default();
         sums[0] += g;
         sums[1] += l;
         sums[2] += s;

@@ -31,47 +31,6 @@ pub struct NpResult {
     pub np: f64,
 }
 
-/// Classification at the paper's 5 % similarity threshold (Table IV).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum Verdict {
-    Gain,
-    Loss,
-    Similar,
-}
-
-impl Verdict {
-    pub fn of(np: f64, threshold: f64) -> Verdict {
-        if np > 1.0 + threshold {
-            Verdict::Gain
-        } else if np < 1.0 - threshold {
-            Verdict::Loss
-        } else {
-            Verdict::Similar
-        }
-    }
-}
-
-/// Minimal timing harness for the `[[bench]]` targets (`harness = false`),
-/// replacing the former Criterion dependency so the workspace builds with
-/// no external crates. Runs one warm-up, then `samples` timed iterations,
-/// and prints the median.
-pub fn time_case<R>(name: &str, samples: usize, mut f: impl FnMut() -> R) -> std::time::Duration {
-    std::hint::black_box(f());
-    let mut times = Vec::with_capacity(samples);
-    for _ in 0..samples.max(1) {
-        let t = std::time::Instant::now();
-        std::hint::black_box(f());
-        times.push(t.elapsed());
-    }
-    times.sort();
-    let median = times[times.len() / 2];
-    println!(
-        "{name:<44} median {median:>12.3?}  ({} samples)",
-        times.len()
-    );
-    median
-}
-
 /// Scale from `GROVER_SCALE` (default Small).
 pub fn scale_from_env() -> Scale {
     match std::env::var("GROVER_SCALE").as_deref() {
@@ -215,14 +174,6 @@ pub fn paper_direction(app: &str, device: &str) -> Option<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn verdict_thresholds() {
-        assert_eq!(Verdict::of(1.10, 0.05), Verdict::Gain);
-        assert_eq!(Verdict::of(0.90, 0.05), Verdict::Loss);
-        assert_eq!(Verdict::of(1.03, 0.05), Verdict::Similar);
-        assert_eq!(Verdict::of(0.96, 0.05), Verdict::Similar);
-    }
 
     #[test]
     fn case_matrices() {

@@ -131,7 +131,7 @@ use grover_predict::{
     Model as PredictModel, TrainConfig, Verdict,
 };
 use grover_runtime::{Backend, CountingSink, Limits};
-use grover_tuner::{Choice, Decision, RetryPolicy, TuneError, Tuner, Workload};
+use grover_tuner::{Decision, RetryPolicy, TuneError, Tuner, Workload};
 
 const EXIT_USAGE: u8 = 2;
 const EXIT_COMPILE: u8 = 3;
@@ -241,24 +241,16 @@ fn cmd_transform(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Fa
     while let Some(a) = it.next() {
         match a.as_str() {
             "-D" => {
-                let d = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("-D needs an argument"))?;
-                let (n, v) = d.split_once('=').unwrap_or((d.as_str(), "1"));
+                let d = flag_value(&mut it, "-D", "an argument")?;
+                let (n, v) = d.split_once('=').unwrap_or((d, "1"));
                 opts = opts.define(n, v);
             }
             "--kernel" => {
-                kernel_name = Some(
-                    it.next()
-                        .ok_or_else(|| Failure::usage("--kernel needs a name"))?
-                        .clone(),
-                )
+                kernel_name = Some(flag_value(&mut it, "--kernel", "a name")?.to_string())
             }
             "--keep-barriers" => keep_barriers = true,
             "--passes" => {
-                let spec = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--passes needs a comma-separated sequence"))?;
+                let spec = flag_value(&mut it, "--passes", "a comma-separated sequence")?;
                 passes = Some(
                     grover_core::Sequence::parse(spec)
                         .map_err(|e| Failure::usage(format!("--passes: {e}")))?,
@@ -316,16 +308,25 @@ fn cmd_transform(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Fa
     Ok(())
 }
 
-fn parse_u64(it: &mut std::slice::Iter<String>, flag: &str) -> Result<u64, Failure> {
+/// The value following `flag`, or a usage failure `{flag} needs {what}`.
+fn flag_value<'a>(
+    it: &mut std::slice::Iter<'a, String>,
+    flag: &str,
+    what: &str,
+) -> Result<&'a str, Failure> {
     it.next()
-        .ok_or_else(|| Failure::usage(format!("{flag} needs a value")))?
+        .map(String::as_str)
+        .ok_or_else(|| Failure::usage(format!("{flag} needs {what}")))
+}
+
+fn parse_u64(it: &mut std::slice::Iter<String>, flag: &str) -> Result<u64, Failure> {
+    flag_value(it, flag, "a value")?
         .parse()
         .map_err(|_| Failure::usage(format!("{flag} needs an integer")))
 }
 
 fn parse_f64(it: &mut std::slice::Iter<String>, flag: &str) -> Result<f64, Failure> {
-    it.next()
-        .ok_or_else(|| Failure::usage(format!("{flag} needs a value")))?
+    flag_value(it, flag, "a value")?
         .parse()
         .map_err(|_| Failure::usage(format!("{flag} needs a number")))
 }
@@ -371,11 +372,8 @@ fn cmd_autotune(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Fai
     while let Some(a) = it.next() {
         match a.as_str() {
             "--predict" => {
-                model_path = Some(
-                    it.next()
-                        .ok_or_else(|| Failure::usage("--predict needs a model.json path"))?
-                        .clone(),
-                )
+                model_path =
+                    Some(flag_value(&mut it, "--predict", "a model.json path")?.to_string())
             }
             "--predict-threshold" => {
                 predict_threshold = Some(parse_f64(&mut it, "--predict-threshold")?)
@@ -384,9 +382,7 @@ fn cmd_autotune(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Fai
                 // `;`-separated list of candidate sequence specs; each spec
                 // is validated up front so a typo is a usage error, not a
                 // mid-race failure.
-                let raw = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--passes needs sequence spec(s)"))?;
+                let raw = flag_value(&mut it, "--passes", "sequence spec(s)")?;
                 let mut specs = Vec::new();
                 for part in raw.split(';').filter(|s| !s.trim().is_empty()) {
                     let seq = grover_core::Sequence::parse(part)
@@ -398,24 +394,8 @@ fn cmd_autotune(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Fai
                 }
                 sequences = Some(specs);
             }
-            "--device" => {
-                device = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--device needs a name"))?
-                    .clone()
-            }
-            "--scale" => {
-                scale = match it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--scale needs a value"))?
-                    .as_str()
-                {
-                    "test" => Scale::Test,
-                    "small" => Scale::Small,
-                    "paper" => Scale::Paper,
-                    other => return Err(Failure::usage(format!("unknown scale `{other}`"))),
-                }
-            }
+            "--device" => device = flag_value(&mut it, "--device", "a name")?.to_string(),
+            "--scale" => scale = parse_scale(&mut it)?,
             "--strict" => strict = true,
             "--json" => json = true,
             "--no-verify" => verify = false,
@@ -524,13 +504,13 @@ fn print_decision(d: &Decision) {
         return;
     }
     match d.choice {
-        Choice::WithoutLocalMemory => {
+        Verdict::WithoutLocalMemory => {
             println!("  verdict: use the GROVER-TRANSFORMED kernel (local memory disabled)")
         }
-        Choice::WithLocalMemory => {
+        Verdict::WithLocalMemory => {
             println!("  verdict: keep the ORIGINAL kernel (local memory enabled)")
         }
-        Choice::Similar => println!("  verdict: both versions perform similarly (within 5%)"),
+        Verdict::Similar => println!("  verdict: both versions perform similarly (within 5%)"),
     }
 }
 
@@ -547,18 +527,7 @@ fn cmd_profile(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Fail
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scale" => {
-                scale = match it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--scale needs a value"))?
-                    .as_str()
-                {
-                    "test" => Scale::Test,
-                    "small" => Scale::Small,
-                    "paper" => Scale::Paper,
-                    other => return Err(Failure::usage(format!("unknown scale `{other}`"))),
-                }
-            }
+            "--scale" => scale = parse_scale(&mut it)?,
             "--json" => json = true,
             "--ops" => ops = true,
             other if app_id.is_none() => app_id = Some(other.to_string()),
@@ -1011,10 +980,8 @@ fn cmd_classify(args: &[String]) -> Result<(), Failure> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "-D" => {
-                let d = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("-D needs an argument"))?;
-                let (n, v) = d.split_once('=').unwrap_or((d.as_str(), "1"));
+                let d = flag_value(&mut it, "-D", "an argument")?;
+                let (n, v) = d.split_once('=').unwrap_or((d, "1"));
                 opts = opts.define(n, v);
             }
             other if other.starts_with("-D") => {
@@ -1067,12 +1034,7 @@ fn cmd_fuzz(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Failure
             "--seed" => seed = parse_u64(&mut it, "--seed")?,
             "--cases" => cases = parse_u64(&mut it, "--cases")?,
             "--json" => json = true,
-            "--out-dir" => {
-                out_dir = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--out-dir needs a path"))?
-                    .clone()
-            }
+            "--out-dir" => out_dir = flag_value(&mut it, "--out-dir", "a path")?.to_string(),
             other => return Err(Failure::usage(format!("unexpected argument `{other}`"))),
         }
     }
@@ -1116,18 +1078,9 @@ fn cmd_predict(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Fail
     while let Some(a) = it.next() {
         match a.as_str() {
             "--model" => {
-                model_path = Some(
-                    it.next()
-                        .ok_or_else(|| Failure::usage("--model needs a model.json path"))?
-                        .clone(),
-                )
+                model_path = Some(flag_value(&mut it, "--model", "a model.json path")?.to_string())
             }
-            "--device" => {
-                device = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--device needs a name"))?
-                    .clone()
-            }
+            "--device" => device = flag_value(&mut it, "--device", "a name")?.to_string(),
             "--scale" => scale = parse_scale(&mut it)?,
             "--predict-threshold" => threshold = Some(parse_f64(&mut it, "--predict-threshold")?),
             "--json" => json = true,
@@ -1177,11 +1130,7 @@ fn cmd_predict(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Fail
 }
 
 fn parse_scale(it: &mut std::slice::Iter<String>) -> Result<Scale, Failure> {
-    match it
-        .next()
-        .ok_or_else(|| Failure::usage("--scale needs a value"))?
-        .as_str()
-    {
+    match flag_value(it, "--scale", "a value")? {
         "test" => Ok(Scale::Test),
         "small" => Ok(Scale::Small),
         "paper" => Ok(Scale::Paper),
@@ -1200,19 +1149,9 @@ fn cmd_train(args: &[String]) -> Result<(), Failure> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--corpus" => {
-                corpus_path = Some(
-                    it.next()
-                        .ok_or_else(|| Failure::usage("--corpus needs a file"))?
-                        .clone(),
-                )
+                corpus_path = Some(flag_value(&mut it, "--corpus", "a file")?.to_string())
             }
-            "--out" => {
-                out_path = Some(
-                    it.next()
-                        .ok_or_else(|| Failure::usage("--out needs a file"))?
-                        .clone(),
-                )
-            }
+            "--out" => out_path = Some(flag_value(&mut it, "--out", "a file")?.to_string()),
             "--iters" => cfg.iterations = parse_u64(&mut it, "--iters")? as u32,
             "--l2" => cfg.l2 = parse_f64(&mut it, "--l2")?,
             "--learning-rate" => cfg.learning_rate = parse_f64(&mut it, "--learning-rate")?,
@@ -1290,26 +1229,15 @@ fn cmd_corpus(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Failu
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--out" => {
-                out_path = Some(
-                    it.next()
-                        .ok_or_else(|| Failure::usage("--out needs a file"))?
-                        .clone(),
-                )
-            }
+            "--out" => out_path = Some(flag_value(&mut it, "--out", "a file")?.to_string()),
             "--cache-dir" => {
-                cache_dir = Some(
-                    it.next()
-                        .ok_or_else(|| Failure::usage("--cache-dir needs a path"))?
-                        .clone(),
-                )
+                cache_dir = Some(flag_value(&mut it, "--cache-dir", "a path")?.to_string())
             }
             "--scale" => scale = parse_scale(&mut it)?,
             "--no-verify" => verify = false,
             "--devices" => {
                 devices = Some(
-                    it.next()
-                        .ok_or_else(|| Failure::usage("--devices needs a comma-separated list"))?
+                    flag_value(&mut it, "--devices", "a comma-separated list")?
                         .split(',')
                         .filter(|s| !s.trim().is_empty())
                         .map(str::to_string)
@@ -1318,8 +1246,7 @@ fn cmd_corpus(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Failu
             }
             "--apps" => {
                 apps_filter = Some(
-                    it.next()
-                        .ok_or_else(|| Failure::usage("--apps needs a comma-separated list"))?
+                    flag_value(&mut it, "--apps", "a comma-separated list")?
                         .split(',')
                         .filter(|s| !s.trim().is_empty())
                         .map(str::to_string)
@@ -1414,7 +1341,7 @@ fn export_suite_corpus(
 ) -> Result<Vec<String>, Failure> {
     let device_names: Vec<String> = match devices {
         Some(list) => list.to_vec(),
-        None => grover_predict::known_devices()
+        None => grover_devsim::ALL_DEVICES
             .iter()
             .map(|d| d.to_string())
             .collect(),
@@ -1447,13 +1374,11 @@ fn export_suite_corpus(
             let d = tuner
                 .tune(&pair.original, device, &workload)
                 .map_err(tune_failure)?;
-            let choice = Verdict::parse(d.choice.kind())
-                .expect("tuner choice tags and predict verdict tags coincide");
             let row = CorpusRow {
                 app: app.id.to_string(),
                 kernel: pair.original.name.clone(),
                 device: device.clone(),
-                choice,
+                choice: d.choice,
                 np: d.np,
                 cycles_with: d.cycles_with,
                 cycles_without: d.cycles_without,
@@ -1475,17 +1400,9 @@ fn cmd_serve(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Failur
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--addr" => {
-                config.addr = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--addr needs HOST:PORT"))?
-                    .clone()
-            }
+            "--addr" => config.addr = flag_value(&mut it, "--addr", "HOST:PORT")?.to_string(),
             "--cache-dir" => {
-                config.cache_dir = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--cache-dir needs a path"))?
-                    .into()
+                config.cache_dir = flag_value(&mut it, "--cache-dir", "a path")?.into()
             }
             "--threads" => config.workers = parse_u64(&mut it, "--threads")? as usize,
             "--queue-depth" => config.queue_depth = parse_u64(&mut it, "--queue-depth")? as usize,
@@ -1517,11 +1434,8 @@ fn cmd_serve(args: &[String], recorder: &Arc<dyn Recorder>) -> Result<(), Failur
             }
             "--profile-ops" => config.profile_ops = true,
             "--model" => {
-                config.model_path = Some(
-                    it.next()
-                        .ok_or_else(|| Failure::usage("--model needs a model.json path"))?
-                        .into(),
-                )
+                config.model_path =
+                    Some(flag_value(&mut it, "--model", "a model.json path")?.into())
             }
             "--predict-threshold" => {
                 config.predict_threshold = parse_f64(&mut it, "--predict-threshold")?

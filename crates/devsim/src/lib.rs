@@ -35,7 +35,7 @@ pub use cache::{Cache, CacheConfig, CacheStats, Probe};
 pub use cpu::CpuModel;
 pub use cpu_simd::SimdCpuModel;
 pub use gpu::GpuModel;
-pub use model::{agreement, Agreement, AnalyticCpuModel, OpCounts};
+pub use model::{AnalyticCpuModel, OpCounts};
 pub use profiles::{candidate_sequences, CpuProfile, GpuProfile, ALL_DEVICES, CPU_DEVICES};
 
 use grover_runtime::{AccessEvent, TraceSink};

@@ -95,39 +95,6 @@ impl AnalyticCpuModel {
     }
 }
 
-/// How well a prediction matched a measurement, at the paper's 5 %
-/// gain/loss threshold.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Agreement {
-    /// Same verdict (gain/loss/similar).
-    Exact,
-    /// One side says similar, the other gain or loss.
-    Near,
-    /// Opposite verdicts (one gain, one loss).
-    Opposite,
-}
-
-/// Classify agreement between predicted and measured np.
-pub fn agreement(predicted: f64, measured: f64, threshold: f64) -> Agreement {
-    let v = |np: f64| {
-        if np > 1.0 + threshold {
-            1i8
-        } else if np < 1.0 - threshold {
-            -1
-        } else {
-            0
-        }
-    };
-    let (p, m) = (v(predicted), v(measured));
-    if p == m {
-        Agreement::Exact
-    } else if p == 0 || m == 0 {
-        Agreement::Near
-    } else {
-        Agreement::Opposite
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,16 +136,6 @@ mod tests {
         let without = counts(1000, 400, 0, 0, 0); // staging removal tripled gl
         let np = m.predict_np(&with_lm, &without);
         assert!(np < 1.0, "np = {np}");
-    }
-
-    #[test]
-    fn agreement_classification() {
-        assert_eq!(agreement(1.2, 1.3, 0.05), Agreement::Exact);
-        assert_eq!(agreement(0.9, 0.8, 0.05), Agreement::Exact);
-        assert_eq!(agreement(1.0, 1.02, 0.05), Agreement::Exact);
-        assert_eq!(agreement(1.2, 1.0, 0.05), Agreement::Near);
-        assert_eq!(agreement(1.0, 0.9, 0.05), Agreement::Near);
-        assert_eq!(agreement(1.2, 0.8, 0.05), Agreement::Opposite);
     }
 
     #[test]

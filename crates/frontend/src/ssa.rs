@@ -177,11 +177,6 @@ impl SsaBuilder {
         Ok(())
     }
 
-    /// Whether a block has been sealed.
-    pub fn is_sealed(&self, block: BlockId) -> bool {
-        self.sealed.contains(&block)
-    }
-
     /// The phi nodes created during construction and the variable each one
     /// merges — used to give phis their source-level names.
     pub fn phi_vars(&self) -> impl Iterator<Item = (ValueId, VarId)> + '_ {

@@ -165,13 +165,6 @@ impl<'f> Builder<'f> {
         self.cast(CastKind::Trunc, v, Type::I32)
     }
 
-    /// `get_group_id(dim)` truncated to `i32`.
-    pub fn group_id_i32(&mut self, dim: u32) -> ValueId {
-        let d = self.i32(dim as i32);
-        let v = self.call(Builtin::GroupId, vec![d]);
-        self.cast(CastKind::Trunc, v, Type::I32)
-    }
-
     /// `get_global_id(dim)` truncated to `i32`.
     pub fn global_id_i32(&mut self, dim: u32) -> ValueId {
         let d = self.i32(dim as i32);

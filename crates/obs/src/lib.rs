@@ -106,18 +106,6 @@ impl std::fmt::Display for TraceId {
     }
 }
 
-/// The request-scoped trace context a serving edge threads through the
-/// layers below it: the minted (or inbound) trace id plus the span every
-/// nested span should parent under.
-#[derive(Clone, Copy, Debug)]
-pub struct TraceCtx {
-    /// The request's trace id.
-    pub trace: TraceId,
-    /// The span to parent nested work under (e.g. the `serve.request`
-    /// span).
-    pub parent: SpanId,
-}
-
 /// A typed attribute value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {

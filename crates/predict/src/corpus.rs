@@ -20,7 +20,7 @@ pub struct CorpusRow {
     pub kernel: String,
     /// Device profile.
     pub device: String,
-    /// Measured choice (`Choice::kind()` wire name).
+    /// Measured choice ([`Verdict::kind`] wire name).
     pub choice: Verdict,
     /// Measured np ratio.
     pub np: f64,

@@ -23,25 +23,26 @@
 //!   with their feature vectors (written by `grover corpus export`,
 //!   read by `grover train`).
 //!
-//! The tuner's `predictor` and `grover-serve`'s
-//! `POST /v1/predict` sit on top: answer from the model when confidence
-//! clears `--predict-threshold`, fall back to the measured race when it
-//! abstains, and append every fallback's measured outcome back to the
-//! corpus — a closed loop.
+//! * [`gate`] — the predict gate the tuner's `predictor` and
+//!   `grover-serve`'s `POST /v1/predict` share: answer from the model when
+//!   confidence clears `--predict-threshold`, abstain into the measured
+//!   race otherwise, and grade the answer against the measurement. Every
+//!   fallback's measured outcome goes back into the corpus — a closed
+//!   loop.
+//!
+//! [`Verdict`] is the workspace's one three-way outcome (paper §VI-B:
+//! gain, loss or similar at [`SIMILARITY_THRESHOLD`]), and
+//! [`Verdict::from_np`] its one np rule.
 
 pub mod corpus;
 pub mod features;
+pub mod gate;
 pub mod model;
 
 pub use corpus::{parse_corpus, train_rows, CorpusRow};
 pub use features::{schema_hash, FeatureVector, FEATURES_VERSION, FEATURE_NAMES};
+pub use gate::{grade_prediction, predict_gate, Gate};
 pub use model::{
     evaluate_loo, DeviceModel, LooCase, LooReport, Model, ModelError, Prediction, TrainConfig,
-    TrainRow, Verdict,
+    TrainRow, Verdict, SIMILARITY_THRESHOLD,
 };
-
-/// Device profiles the per-device models are keyed by — the simulator's
-/// six paper devices.
-pub fn known_devices() -> &'static [&'static str] {
-    &grover_devsim::ALL_DEVICES
-}

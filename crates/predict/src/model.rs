@@ -22,9 +22,14 @@ pub const MODEL_FORMAT: &str = "grover-predict-model";
 /// Version of the model container format.
 pub const MODEL_VERSION: u32 = 1;
 
-/// The tuning outcome a model predicts — mirrors the tuner's `Choice`
-/// without depending on it (the tuner depends on this crate, not the
-/// reverse).
+/// The similarity band half-width of the paper's Table IV (§VI-B): a
+/// test case within 5 % of `np = 1` is "similar", neither a gain nor a
+/// loss.
+pub const SIMILARITY_THRESHOLD: f64 = 0.05;
+
+/// The outcome of one test case (paper §VI-B): which kernel version to
+/// run. The tuner's decisions, the model's predictions, the corpus rows
+/// and the paper tables all speak this one vocabulary.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Verdict {
     /// Keep the original kernel (`np < 1 - threshold`).
@@ -36,7 +41,9 @@ pub enum Verdict {
 }
 
 impl Verdict {
-    /// The wire name, identical to `Choice::kind()` in the tuner.
+    /// The stable wire name (`with_local_memory`, `without_local_memory`,
+    /// `similar`) — the CLI's `--json` output, the serve responses, the
+    /// journal, the corpus and the telemetry all carry it.
     pub fn kind(self) -> &'static str {
         match self {
             Verdict::WithLocalMemory => "with_local_memory",
@@ -55,8 +62,9 @@ impl Verdict {
         }
     }
 
-    /// Classify a measured/estimated np ratio under the tuner's
-    /// threshold rule.
+    /// Classify an np ratio (`t_with / t_without`): above `1 + threshold`
+    /// disabling local memory wins, below `1 - threshold` it loses, and
+    /// the band in between (edges included) is similar.
     pub fn from_np(np: f64, threshold: f64) -> Verdict {
         if np > 1.0 + threshold {
             Verdict::WithoutLocalMemory
@@ -94,7 +102,8 @@ pub struct TrainConfig {
     pub learning_rate: f64,
     /// Ridge (L2) regularisation strength.
     pub l2: f64,
-    /// The similarity band half-width (the tuner's 5%).
+    /// The similarity band half-width ([`SIMILARITY_THRESHOLD`] by
+    /// default).
     pub threshold: f64,
 }
 
@@ -104,7 +113,7 @@ impl Default for TrainConfig {
             iterations: 400,
             learning_rate: 0.1,
             l2: 1e-3,
-            threshold: 0.05,
+            threshold: SIMILARITY_THRESHOLD,
         }
     }
 }
@@ -244,11 +253,6 @@ impl Model {
     /// Devices the model can score.
     pub fn device_names(&self) -> Vec<&str> {
         self.devices.keys().map(String::as_str).collect()
-    }
-
-    /// Total training rows across devices.
-    pub fn rows_total(&self) -> usize {
-        self.devices.values().map(|d| d.rows.len()).sum()
     }
 
     /// Serialise to the versioned `model.json` document.

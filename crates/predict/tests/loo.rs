@@ -7,7 +7,7 @@
 
 use grover_devsim::ALL_DEVICES;
 use grover_kernels::{all_apps, extension_apps, prepare_pair, App, Scale};
-use grover_predict::{evaluate_loo, FeatureVector, TrainConfig, TrainRow, Verdict};
+use grover_predict::{evaluate_loo, FeatureVector, TrainConfig, TrainRow};
 use grover_tuner::{Tuner, Workload};
 
 fn suite() -> Vec<App> {
@@ -43,8 +43,7 @@ fn measured_corpus() -> Vec<TrainRow> {
                 // whole app.
                 kernel: app.id.to_string(),
                 features: features.clone(),
-                choice: Verdict::parse(d.choice.kind())
-                    .expect("tuner choice tags and predict verdicts coincide"),
+                choice: d.choice,
                 np: d.np,
             });
         }

@@ -1,9 +1,11 @@
 //! Model persistence contracts: train → save → load reproduces scores
 //! bit-for-bit, and every flavour of staleness (schema drift, pass-epoch
-//! drift, corruption) is rejected observably instead of mis-scoring.
+//! drift, corruption) is rejected observably instead of mis-scoring —
+//! plus the one np rule every verdict is classified by.
 
 use grover_predict::{
     schema_hash, FeatureVector, Model, ModelError, TrainConfig, TrainRow, Verdict, FEATURE_NAMES,
+    SIMILARITY_THRESHOLD,
 };
 
 /// A deterministic synthetic feature vector parameterised by `bias`.
@@ -137,4 +139,22 @@ fn rows_without_ratio_information_are_skipped() {
         !model.devices.contains_key("MIC"),
         "a zero-np row must not create a device model"
     );
+}
+
+#[test]
+fn verdict_from_np_band_edges() {
+    let t = SIMILARITY_THRESHOLD;
+    assert_eq!(t, 0.05, "the paper's Table IV threshold");
+    assert_eq!(Verdict::from_np(1.10, t), Verdict::WithoutLocalMemory);
+    assert_eq!(Verdict::from_np(0.90, t), Verdict::WithLocalMemory);
+    assert_eq!(Verdict::from_np(1.03, t), Verdict::Similar);
+    assert_eq!(Verdict::from_np(0.96, t), Verdict::Similar);
+    assert_eq!(Verdict::from_np(1.0, t), Verdict::Similar);
+    assert_eq!(Verdict::from_np(1.02, t), Verdict::Similar);
+    assert_eq!(Verdict::from_np(1.2, t), Verdict::WithoutLocalMemory);
+    assert_eq!(Verdict::from_np(1.3, t), Verdict::WithoutLocalMemory);
+    assert_eq!(Verdict::from_np(0.8, t), Verdict::WithLocalMemory);
+    // The band edges themselves are similar: the rule is strict.
+    assert_eq!(Verdict::from_np(1.05, t), Verdict::Similar);
+    assert_eq!(Verdict::from_np(0.95, t), Verdict::Similar);
 }

@@ -5,7 +5,8 @@
 use std::sync::Arc;
 
 use grover_kernels::{app_by_id, prepare_pair, Scale};
-use grover_predict::{FeatureVector, Model, TrainConfig, TrainRow, Verdict};
+use grover_obs::MemoryRecorder;
+use grover_predict::{FeatureVector, Model, TrainConfig, TrainRow};
 use grover_tuner::{Tuner, Workload};
 
 /// Measure AMD-MM once and train a single-row model from the decision.
@@ -29,7 +30,7 @@ fn trained_on_measurement() -> (grover_ir::Function, Workload, Model, String) {
         device: "SNB".to_string(),
         kernel: pair.original.name.clone(),
         features: FeatureVector::extract(&pair.original, nd.global, nd.local),
-        choice: Verdict::parse(d.choice.kind()).expect("tags coincide"),
+        choice: d.choice,
         np: d.np,
     }];
     let model = Model::train(&rows, "epoch-x", &TrainConfig::default());
@@ -98,4 +99,46 @@ fn unknown_device_abstains_even_with_a_model() {
     assert!(d.predicted.is_none());
     assert_eq!(tuner.predict_abstains(), 1);
     assert!(tuner.launches_run() > 0, "fell back to the measured race");
+}
+
+#[test]
+fn predict_span_and_outcome_carry_the_shared_attribute_set() {
+    // `POST /v1/predict` records the same attribute set through the same
+    // gate (checked against this tuner trace in grover-serve's tests).
+    let (kernel, workload, model, _) = trained_on_measurement();
+    let model = Arc::new(model);
+    for (threshold, outcome_keys) in [
+        (
+            0.7,
+            vec![
+                "outcome",
+                "verdict",
+                "confidence",
+                "np_est",
+                "exact_match",
+                "neighbor",
+            ],
+        ),
+        (0.995, vec!["outcome", "verdict", "confidence"]),
+    ] {
+        let rec = Arc::new(MemoryRecorder::new());
+        let mut tuner = Tuner::new();
+        tuner.recorder = rec.clone();
+        tuner.predictor = Some(model.clone());
+        tuner.predict_threshold = threshold;
+        tuner.tune(&kernel, "SNB", &workload).expect("tunes");
+
+        let snap = rec.snapshot();
+        let spans = snap.spans_named("predict");
+        assert_eq!(spans.len(), 1);
+        let span_keys: Vec<&str> = spans[0].attrs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(span_keys, ["kernel", "device", "threshold", "features"]);
+        assert_eq!(spans[0].attr_str("kernel"), Some(kernel.name.as_str()));
+        assert_eq!(spans[0].attr_str("device"), Some("SNB"));
+        let outcomes = snap.events_named("outcome");
+        assert_eq!(outcomes.len(), 1);
+        assert_eq!(outcomes[0].span, Some(spans[0].id));
+        let keys: Vec<&str> = outcomes[0].attrs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, outcome_keys, "threshold {threshold}");
+    }
 }

@@ -137,14 +137,6 @@ impl Context {
         }
     }
 
-    /// Read back an `i32` buffer, or `None` on kind mismatch.
-    pub fn try_read_i32(&self, b: Buffer) -> Option<&[i32]> {
-        match self.buffers.get(b.0 as usize)? {
-            BufferData::I32(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Every buffer in creation order (index `i` is the storage of the
     /// `i`-th created [`Buffer`]). This is what the tuner's
     /// differential-output guard bit-compares across two runs.
@@ -160,11 +152,6 @@ impl Context {
     /// Device base address of a buffer (trace address space).
     pub fn base_addr(&self, b: Buffer) -> u64 {
         self.bases[b.0 as usize]
-    }
-
-    /// Number of buffers created in this context.
-    pub fn num_buffers(&self) -> usize {
-        self.buffers.len()
     }
 
     /// A [`GlobalMem`] view over every buffer, for the launch engine. The

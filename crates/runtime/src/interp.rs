@@ -72,11 +72,6 @@ impl NdRange {
         self.local.iter().product()
     }
 
-    /// Total work-items in the launch.
-    pub fn total_items(&self) -> u64 {
-        self.global.iter().product()
-    }
-
     fn validate(&self) -> Result<(), ExecError> {
         for d in 0..3 {
             if self.local[d] == 0 || self.global[d] == 0 {

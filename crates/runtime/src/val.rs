@@ -57,14 +57,6 @@ impl Val {
         }
     }
 
-    /// The `i64`, if this is one.
-    pub fn as_i64(self) -> Option<i64> {
-        match self {
-            Val::I64(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Any integer kind widened to i64.
     pub fn as_int(self) -> Option<i64> {
         match self {

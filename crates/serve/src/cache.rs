@@ -25,7 +25,7 @@ use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 
 use grover_obs::json::{self, Json, Obj};
-use grover_tuner::{write_decision_fields, Decision};
+use grover_tuner::{read_decision_fields, write_decision_fields, Decision};
 
 use crate::journal;
 
@@ -40,7 +40,7 @@ pub struct DecisionRecord {
     pub device: String,
     /// Kernel name.
     pub kernel: String,
-    /// `Choice::kind()` tag.
+    /// `grover_predict::Verdict::kind()` tag.
     pub choice: String,
     /// The winning pass sequence (spec form, [`Decision::sequence`]).
     /// Empty on records persisted before sequence search existed.
@@ -135,40 +135,33 @@ impl DecisionRecord {
         obj.finish()
     }
 
-    /// Parse one store line.
+    /// Parse one store line. The decision fields go through the tuner's
+    /// reader ([`grover_tuner::read_decision_fields`]).
     pub fn from_json(v: &Json) -> Result<DecisionRecord, String> {
         let field = |k: &str| {
             v.str_of(k)
                 .map(str::to_string)
                 .ok_or_else(|| format!("missing field `{k}`"))
         };
-        let (fallback_kind, fallback_detail) = match v.get("fallback") {
-            Some(Json::Obj(_)) => {
-                let f = v.get("fallback").unwrap();
-                (
-                    f.str_of("kind").map(str::to_string),
-                    f.str_of("detail").map(str::to_string),
-                )
-            }
-            _ => (None, None),
-        };
+        let (fingerprint, epoch, device, kernel) = (
+            field("fingerprint")?,
+            field("epoch")?,
+            field("device")?,
+            field("kernel")?,
+        );
+        let d = read_decision_fields(v)?;
         Ok(DecisionRecord {
-            fingerprint: field("fingerprint")?,
-            epoch: field("epoch")?,
-            device: field("device")?,
-            kernel: field("kernel")?,
-            choice: field("choice")?,
-            // Tolerant: records from before sequence search have no field.
-            sequence: v.str_of("sequence").unwrap_or("").to_string(),
-            np: v.f64_of("np").ok_or("missing field `np`")?,
-            cycles_with: v
-                .u64_of("cycles_with")
-                .ok_or("missing field `cycles_with`")?,
-            cycles_without: v
-                .u64_of("cycles_without")
-                .ok_or("missing field `cycles_without`")?,
-            fallback_kind,
-            fallback_detail,
+            fingerprint,
+            epoch,
+            device,
+            kernel,
+            choice: d.choice,
+            sequence: d.sequence,
+            np: d.np,
+            cycles_with: d.cycles_with,
+            cycles_without: d.cycles_without,
+            fallback_kind: d.fallback_kind,
+            fallback_detail: d.fallback_detail,
             // Tolerant: records from before predictive tuning have none.
             feature_schema_hash: v.str_of("feature_schema_hash").map(str::to_string),
             features: v

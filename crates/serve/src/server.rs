@@ -69,9 +69,12 @@ use grover_ir::printer::function_to_string;
 use grover_ir::{Function, Scalar, Type};
 use grover_obs::json::{self, array, Json, Obj};
 use grover_obs::{Recorder, SpanId, TraceId, Value};
-use grover_predict::{schema_hash, FeatureVector, Model as PredictModel};
+use grover_predict::{
+    grade_prediction, predict_gate, schema_hash, FeatureVector, Gate, Model as PredictModel,
+    Prediction, Verdict,
+};
 use grover_runtime::{ArgValue, Context, Limits, NdRange};
-use grover_tuner::{write_decision_fields, Choice, FallbackReason, TuneError, Tuner, Workload};
+use grover_tuner::{write_decision_fields, FallbackReason, TuneError, Tuner, Workload};
 
 use crate::breaker::{Admit, CircuitBreaker};
 use crate::cache::{DecisionCache, DecisionRecord, DecisionStore};
@@ -883,7 +886,22 @@ fn tune_error_response(shared: &Shared, e: &TuneError) -> Response {
     let (status, kind) = match e {
         TuneError::UnknownDevice(_) => (400, "unknown_device"),
         TuneError::InvalidSequence(_) => (400, "invalid_sequence"),
-        TuneError::NothingToDisable(_) => (422, "pass_refusal"),
+        // The refusal carries the pass report, so the client sees why
+        // each `__local` buffer was kept.
+        TuneError::NothingToDisable(report) => {
+            return Response::json(
+                422,
+                Obj::new()
+                    .str(
+                        "error",
+                        "the pass removed no __local buffer; nothing to tune",
+                    )
+                    .str("kind", "pass_refusal")
+                    .u64("status", 422)
+                    .raw("report", &report_json(report))
+                    .finish(),
+            )
+        }
         TuneError::Deadline => {
             shared.metrics.deadline_timeouts.inc();
             (504, "deadline")
@@ -937,7 +955,7 @@ fn degraded_response(shared: &Shared, fingerprint: &str, device: &str, kernel: &
         .str("kernel", kernel);
     let obj = write_decision_fields(
         obj,
-        Choice::WithLocalMemory.kind(),
+        Verdict::WithLocalMemory.kind(),
         None,
         Some((reason.kind(), &reason.to_string())),
     );
@@ -1067,19 +1085,20 @@ fn handle_tune(
         Ok(p) => p,
         Err(resp) => return resp,
     };
-    measured_flow(shared, &body, span, disp, &params)
+    measured_flow(shared, &body, span, disp, &params).0
 }
 
 /// The measured decision flow: LRU → breaker → singleflight → race.
 /// `/v1/tune` always lands here; `/v1/predict` lands here when the model
-/// abstains (its fallback path).
+/// abstains (its fallback path). Returns the response plus the measured
+/// decision it carries (`None` for errors and degraded answers).
 fn measured_flow(
     shared: &Shared,
     body: &Json,
     span: SpanId,
     disp: &Cell<&'static str>,
     p: &TuneParams,
-) -> Response {
+) -> (Response, Option<DecisionRecord>) {
     let m = &shared.metrics;
     let rec = &*shared.recorder;
     let (fingerprint, device, key_kernel) = (&p.fingerprint, &p.device, &p.key_kernel);
@@ -1096,7 +1115,7 @@ fn measured_flow(
         m.cache_hits.inc();
         disp.set("hit");
         rec.span_attr(span, "cache", Value::from("hit"));
-        return decision_response(&hit, Served::Hit);
+        return (decision_response(&hit, Served::Hit), Some(hit));
     }
     m.cache_misses.inc();
 
@@ -1118,7 +1137,10 @@ fn measured_flow(
         m.degraded.inc();
         disp.set("degraded");
         rec.span_attr(span, "cache", Value::from("degraded"));
-        return degraded_response(shared, fingerprint, device, key_kernel);
+        return (
+            degraded_response(shared, fingerprint, device, key_kernel),
+            None,
+        );
     }
 
     // Singleflight: identical concurrent misses share one race. The
@@ -1145,16 +1167,17 @@ fn measured_flow(
                 effective_deadline.unwrap_or(Duration::from_secs(60)) + Duration::from_secs(10);
             match follower.wait(wait) {
                 Some(FlightOutcome::Decision(record)) => {
-                    decision_response(&record, Served::Coalesced)
+                    (decision_response(&record, Served::Coalesced), Some(*record))
                 }
-                Some(FlightOutcome::Fail { status, body }) => Response::json(status, body),
+                Some(FlightOutcome::Fail { status, body }) => (Response::json(status, body), None),
                 None => {
                     m.coalesce_timeouts.inc();
-                    error_response(
+                    let resp = error_response(
                         504,
                         "coalesce_timeout",
                         "timed out waiting for the in-flight tune of this kernel",
-                    )
+                    );
+                    (resp, None)
                 }
             }
         }
@@ -1174,8 +1197,8 @@ fn measured_flow(
                 disp.set("coalesced");
                 rec.span_attr(span, "cache", Value::from("coalesced"));
                 let resp = decision_response(&hit, Served::Coalesced);
-                leader.publish(FlightOutcome::Decision(Box::new(hit)));
-                return resp;
+                leader.publish(FlightOutcome::Decision(Box::new(hit.clone())));
+                return (resp, Some(hit));
             }
             disp.set("miss");
             rec.span_attr(span, "cache", Value::from("miss"));
@@ -1191,14 +1214,14 @@ fn measured_flow(
                 effective_deadline,
                 passes,
             );
-            match record {
-                Some(r) => leader.publish(FlightOutcome::Decision(Box::new(r))),
+            match &record {
+                Some(r) => leader.publish(FlightOutcome::Decision(Box::new(r.clone()))),
                 None => leader.publish(FlightOutcome::Fail {
                     status: resp.status,
                     body: String::from_utf8_lossy(&resp.body).into_owned(),
                 }),
             }
-            resp
+            (resp, record)
         }
     }
 }
@@ -1260,58 +1283,39 @@ fn handle_predict(
         .f64_of("threshold")
         .map(|t| t.clamp(0.0, 1.0))
         .unwrap_or(shared.config.predict_threshold);
-
     let rec = &*shared.recorder;
-    let pspan = rec.span_start("predict", Some(span));
-    if rec.enabled() {
-        rec.span_attr(pspan, "kernel", Value::from(p.key_kernel.as_str()));
-        rec.span_attr(pspan, "device", Value::from(p.device.as_str()));
-        rec.span_attr(pspan, "threshold", Value::from(threshold));
-        rec.span_attr(pspan, "features", Value::from(features.values_json()));
-    }
-    let prediction = shared
-        .predictor
-        .as_deref()
-        .and_then(|mdl| mdl.predict(&p.device, &features));
+    let gate = predict_gate(
+        shared.predictor.as_deref(),
+        &p.key_kernel,
+        &p.device,
+        &features,
+        threshold,
+        rec,
+        Some(span),
+    );
+    // A disagreement with a measured decision is an observable
+    // misprediction, counted whether or not the answer was served.
+    let grade = |pred: &Prediction, measured: Option<DecisionRecord>| {
+        let measured = measured.and_then(|r| Verdict::parse(&r.choice));
+        if let Some(measured) = measured {
+            if grade_prediction(pred, measured, &p.key_kernel, &p.device, rec, Some(span)) {
+                m.predict_wrong.inc();
+            }
+        }
+    };
 
-    match prediction {
-        Some(pred) if pred.confidence >= threshold => {
+    match gate {
+        Gate::Hit(pred) => {
             m.predict_hits.inc();
             disp.set("predicted");
-            rec.event(
-                "outcome",
-                Some(pspan),
-                &[
-                    ("outcome", Value::from("hit")),
-                    ("verdict", Value::from(pred.verdict.kind())),
-                    ("confidence", Value::from(pred.confidence)),
-                    ("np_est", Value::from(pred.np_est)),
-                    ("exact_match", Value::from(pred.exact_match)),
-                ],
-            );
             // Grade against a measured decision when the cache already
-            // holds one for this exact fingerprint: a disagreement is an
-            // observable misprediction even though the hit is served.
-            if let Some(measured) = shared
+            // holds one for this exact fingerprint.
+            let cached = shared
                 .cache
                 .lock()
                 .expect("cache poisoned")
-                .get(&p.fingerprint)
-            {
-                if measured.choice != pred.verdict.kind() {
-                    m.predict_wrong.inc();
-                    rec.event(
-                        "predict.wrong",
-                        Some(pspan),
-                        &[
-                            ("predicted", Value::from(pred.verdict.kind())),
-                            ("measured", Value::from(measured.choice.as_str())),
-                            ("confidence", Value::from(pred.confidence)),
-                        ],
-                    );
-                }
-            }
-            rec.span_end(pspan);
+                .get(&p.fingerprint);
+            grade(&pred, cached);
             Response::json(
                 200,
                 Obj::new()
@@ -1329,42 +1333,16 @@ fn handle_predict(
                     .finish(),
             )
         }
-        other => {
+        Gate::Abstain(other) => {
             m.predict_abstains.inc();
-            let confidence = other.as_ref().map(|pr| pr.confidence);
-            let mut attrs: Vec<(&str, Value)> = vec![("outcome", Value::from("abstain"))];
-            match &other {
-                Some(pr) => {
-                    attrs.push(("verdict", Value::from(pr.verdict.kind())));
-                    attrs.push(("confidence", Value::from(pr.confidence)));
-                }
-                None => attrs.push(("reason", Value::from("no model for device"))),
-            }
-            rec.event("outcome", Some(pspan), &attrs);
-            rec.span_end(pspan);
             // Fallback: the measured flow. Its journal row carries the
             // feature vector, feeding the next training round — the
             // closed loop that makes abstains self-correcting.
-            let resp = measured_flow(shared, &body, span, disp, &p);
-            if let (Some(pr), 200) = (&other, resp.status) {
-                if let Ok(Ok(decided)) = std::str::from_utf8(&resp.body).map(json::parse) {
-                    if let Some(choice) = decided.str_of("choice") {
-                        if choice != pr.verdict.kind() {
-                            m.predict_wrong.inc();
-                            rec.event(
-                                "predict.wrong",
-                                Some(span),
-                                &[
-                                    ("predicted", Value::from(pr.verdict.kind())),
-                                    ("measured", Value::from(choice)),
-                                    ("confidence", Value::from(pr.confidence)),
-                                ],
-                            );
-                        }
-                    }
-                }
+            let (resp, measured) = measured_flow(shared, &body, span, disp, &p);
+            if let Some(pred) = &other {
+                grade(pred, measured);
             }
-            annotate_abstain(resp, confidence)
+            annotate_abstain(resp, other.map(|pr| pr.confidence))
         }
     }
 }
@@ -1397,52 +1375,20 @@ fn run_miss(
             None,
         );
     }
-    // Refusal pre-check: local removal is the root of every legal
-    // sequence, so if it declines here it declines for all candidates —
-    // answer 422 with the full report before spinning up a race.
-    let mut probe = kernel.clone();
-    let grover = Grover::with_options(GroverOptions {
-        buffers: None,
-        keep_barriers: false,
-    });
-    let tune_span = rec.span_start("serve.tune", Some(span));
-    let report = grover.run_on_observed(&mut probe, rec, Some(tune_span));
-    if !report.buffers.iter().any(|b| b.outcome.is_removed()) {
-        rec.span_end(tune_span);
-        let resp = Response::json(
-            422,
-            Obj::new()
-                .str(
-                    "error",
-                    "the pass removed no __local buffer; nothing to tune",
-                )
-                .str("kind", "pass_refusal")
-                .u64("status", 422)
-                .raw("report", &report_json(&report))
-                .finish(),
-        );
-        return (resp, None);
-    }
-
     let global_elems: u64 = g3.iter().product();
     let specs = match body.get("args") {
-        Some(v) => match parse_args(v) {
-            Ok(s) => s,
-            Err(e) => {
-                rec.span_end(tune_span);
-                return (bad_request(e), None);
-            }
-        },
-        None => match synthesise_args(&kernel, global_elems) {
-            Ok(s) => s,
-            Err(e) => {
-                rec.span_end(tune_span);
-                return (bad_request(e), None);
-            }
-        },
+        Some(v) => parse_args(v),
+        None => synthesise_args(&kernel, global_elems),
+    };
+    let specs = match specs {
+        Ok(s) => s,
+        Err(e) => return (bad_request(e), None),
     };
     let workload = make_workload(specs, NdRange::d3(g3, l3));
 
+    // A kernel the pass refuses fails inside `tune` before any launch
+    // (`TuneError::NothingToDisable`, answered 422 with the pass report).
+    let tune_span = rec.span_start("serve.tune", Some(span));
     let mut tuner = Tuner::new();
     tuner.recorder = shared.recorder.clone();
     // Nest the tuner's spans under this request's tune span so every

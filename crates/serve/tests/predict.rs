@@ -8,8 +8,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use grover_frontend::{compile, BuildOptions};
+use grover_ir::Function;
 use grover_obs::json::{self, Json};
-use grover_obs::NoopRecorder;
+use grover_obs::{MemoryRecorder, NoopRecorder, Value};
 use grover_predict::{schema_hash, FeatureVector, Model, TrainConfig, TrainRow, Verdict};
 use grover_serve::{http_request, DecisionStore, ServeConfig, Server};
 use grover_tuner::{Tuner, Workload};
@@ -37,12 +38,14 @@ fn post(server: &Server, path: &str, body: &str) -> (u16, Json) {
     (status, json::parse(&text).unwrap_or(Json::Null))
 }
 
-/// Race STAGE once in-process and train a model on the outcome, exactly
-/// as `grover corpus export` + `grover train` would.
-fn train_model() -> Model {
+fn stage_kernel() -> Function {
     let module = compile(STAGE, &BuildOptions::new()).expect("compiles");
-    let kernel = module.kernel("stage").expect("kernel present").clone();
-    let workload = Workload::new(|| {
+    module.kernel("stage").expect("kernel present").clone()
+}
+
+/// STAGE over the geometry `body` requests: 256 items in groups of 64.
+fn stage_workload() -> Workload {
+    Workload::new(|| {
         use grover_runtime::{ArgValue, Context, NdRange};
         let mut ctx = Context::new();
         let input: Vec<f32> = (0..256).map(|i| i as f32).collect();
@@ -53,7 +56,14 @@ fn train_model() -> Model {
             vec![ArgValue::Buffer(a), ArgValue::Buffer(b)],
             NdRange::d3([256, 1, 1], [64, 1, 1]),
         )
-    });
+    })
+}
+
+/// Race STAGE once in-process and train a model on the outcome, exactly
+/// as `grover corpus export` + `grover train` would.
+fn train_model() -> Model {
+    let kernel = stage_kernel();
+    let workload = stage_workload();
     let mut tuner = Tuner::new();
     let d = tuner
         .tune(&kernel, "SNB", &workload)
@@ -62,7 +72,7 @@ fn train_model() -> Model {
         device: "SNB".to_string(),
         kernel: kernel.name.clone(),
         features: FeatureVector::extract(&kernel, [256, 1, 1], [64, 1, 1]),
-        choice: Verdict::parse(d.choice.kind()).expect("tags coincide"),
+        choice: d.choice,
         np: d.np,
     }];
     Model::train(
@@ -203,5 +213,89 @@ fn stale_model_degrades_to_measured_serving() {
     assert!(m.launches.get() > 0);
 
     server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The attributes of the one `predict` span `rec` saw, and of the one
+/// `outcome` event inside it.
+type Attrs = Vec<(String, Value)>;
+
+fn predict_trace(rec: &MemoryRecorder) -> (Attrs, Attrs) {
+    let snap = rec.snapshot();
+    let spans = snap.spans_named("predict");
+    assert_eq!(spans.len(), 1, "{snap:?}");
+    let outcomes: Vec<_> = snap
+        .events_named("outcome")
+        .into_iter()
+        .filter(|e| e.span == Some(spans[0].id))
+        .collect();
+    assert_eq!(outcomes.len(), 1, "{snap:?}");
+    (spans[0].attrs.clone(), outcomes[0].attrs.clone())
+}
+
+fn keys(attrs: &Attrs) -> Vec<&str> {
+    attrs.iter().map(|(k, _)| k.as_str()).collect()
+}
+
+#[test]
+fn serve_predict_records_the_tuner_predictor_trace() {
+    let model = train_model();
+    let dir = temp_dir("trace");
+    std::fs::create_dir_all(&dir).unwrap();
+    let model_path = dir.join("model.json");
+    std::fs::write(&model_path, model.to_json()).unwrap();
+
+    let hit_keys = vec![
+        "outcome",
+        "verdict",
+        "confidence",
+        "np_est",
+        "exact_match",
+        "neighbor",
+    ];
+    let abstain_keys = vec!["outcome", "verdict", "confidence"];
+    for (threshold, outcome, outcome_keys) in
+        [(0.9, "hit", hit_keys), (0.999, "abstain", abstain_keys)]
+    {
+        // The tuner's predictor on STAGE at this threshold...
+        let tuner_rec = Arc::new(MemoryRecorder::new());
+        let mut tuner = Tuner::new();
+        tuner.recorder = tuner_rec.clone();
+        tuner.predictor = Some(Arc::new(model.clone()));
+        tuner.predict_threshold = threshold;
+        tuner
+            .tune(&stage_kernel(), "SNB", &stage_workload())
+            .expect("tunes");
+        let (tuner_span, tuner_outcome) = predict_trace(&tuner_rec);
+
+        // ...and `POST /v1/predict` on the same kernel and geometry.
+        let serve_rec = Arc::new(MemoryRecorder::new());
+        let server = Server::start(
+            ServeConfig {
+                cache_dir: dir.join(outcome),
+                model_path: Some(model_path.clone()),
+                predict_threshold: threshold,
+                ..ServeConfig::default()
+            },
+            serve_rec.clone(),
+        )
+        .expect("server starts");
+        let (status, resp) = post(&server, "/v1/predict", &body(""));
+        assert_eq!(status, 200, "{resp:?}");
+        server.shutdown();
+        let (serve_span, serve_outcome) = predict_trace(&serve_rec);
+
+        assert_eq!(
+            keys(&serve_span),
+            ["kernel", "device", "threshold", "features"]
+        );
+        assert_eq!(keys(&serve_outcome), outcome_keys, "{outcome}");
+        assert_eq!(
+            serve_outcome[0],
+            ("outcome".to_string(), Value::from(outcome))
+        );
+        assert_eq!(serve_span, tuner_span, "{outcome}: predict span");
+        assert_eq!(serve_outcome, tuner_outcome, "{outcome}: outcome event");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

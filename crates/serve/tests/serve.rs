@@ -527,13 +527,28 @@ fn error_400_on_malformed_requests() {
 
 #[test]
 fn error_422_pass_refusal_names_the_candidate_kind() {
-    let server = start(config("err422"));
-    let (status, resp) = post(
-        &server,
+    let rec = Arc::new(MemoryRecorder::new());
+    let server = Server::start(config("err422"), rec.clone()).expect("server starts");
+    let (status, text) = http_request(
+        server.addr(),
+        "POST",
         "/v1/tune",
-        &tune_body(NEVER_WRITTEN, "SNB", 64, 16),
+        Some(&tune_body(NEVER_WRITTEN, "SNB", 64, 16)),
+    )
+    .expect("request succeeds");
+    assert_eq!(status, 422, "{text}");
+    // The whole body after the stamped trace id, pass report included,
+    // byte for byte.
+    let expected = concat!(
+        r#""error":"the pass removed no __local buffer; nothing to tune","#,
+        r#""kind":"pass_refusal","status":422,"report":{"barriers_removed":0,"#,
+        r#""insts_removed":0,"all_removed":false,"buffers":[{"buffer":"lm","#,
+        r#""outcome":"not_candidate","reason":"local buffer is never written","#,
+        r#""candidate_kind":"never_written","solutions":[]}]}}"#
     );
-    assert_eq!(status, 422, "{resp:?}");
+    assert!(text.starts_with(r#"{"trace_id":"#), "{text}");
+    assert!(text.ends_with(&format!(",{expected}")), "{text}");
+    let resp = json::parse(&text).expect("json body");
     assert_eq!(resp.str_of("kind"), Some("pass_refusal"));
     let buffers = resp
         .get("report")
@@ -546,6 +561,15 @@ fn error_422_pass_refusal_names_the_candidate_kind() {
         buffers[0].str_of("candidate_kind"),
         Some("never_written"),
         "{buffers:?}"
+    );
+    // The refusal comes from the tuner's candidate build, which runs the
+    // pass untraced and launches nothing.
+    let snap = rec.snapshot();
+    assert_eq!(snap.spans_named("serve.tune").len(), 1);
+    assert!(snap.spans_named("grover.pass").is_empty(), "{snap:?}");
+    assert!(
+        snap.spans_named("launch").is_empty(),
+        "a refusal launches nothing"
     );
     std::fs::remove_dir_all(temp_dir("err422")).ok();
     server.shutdown();

@@ -52,38 +52,16 @@ use std::time::Duration;
 use grover_core::{apply_sequence, GroverOptions, GroverReport, Sequence};
 use grover_devsim::Device;
 use grover_ir::Function;
-use grover_obs::json::Obj;
+use grover_obs::json::{Json, Obj};
 use grover_obs::{NoopRecorder, Recorder, SpanId, Value};
-use grover_predict::{FeatureVector, Model as PredictModel, Prediction, Verdict};
+use grover_predict::{
+    grade_prediction, predict_gate, FeatureVector, Gate, Model as PredictModel, Prediction,
+    Verdict, SIMILARITY_THRESHOLD,
+};
 use grover_runtime::{
     enqueue_observed, enqueue_with_backend, ArgValue, Backend, BufferData, Context, ExecError,
     ExecPolicy, Limits, NdRange, NullSink,
 };
-
-/// Which kernel version won.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Choice {
-    /// Keep the original (local memory enabled).
-    WithLocalMemory,
-    /// Use the Grover-transformed version.
-    WithoutLocalMemory,
-    /// Within the similarity threshold — either works; the tuner returns
-    /// the original for stability.
-    Similar,
-}
-
-impl Choice {
-    /// Stable machine-readable tag (`with_local_memory`,
-    /// `without_local_memory`, `similar`) — shared by the CLI's `--json`
-    /// output and the telemetry decision record.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Choice::WithLocalMemory => "with_local_memory",
-            Choice::WithoutLocalMemory => "without_local_memory",
-            Choice::Similar => "similar",
-        }
-    }
-}
 
 /// Why a tuning run was demoted to the original kernel regardless of the
 /// measured cycle counts. The tuner never recommends a transformed kernel
@@ -172,8 +150,9 @@ impl Default for RetryPolicy {
 pub struct Decision {
     /// Device the decision applies to.
     pub device: String,
-    /// The winning version.
-    pub choice: Choice,
+    /// The winning version. [`Verdict::Similar`] means either works;
+    /// [`Tuner::best_kernel`] then returns the original for stability.
+    pub choice: Verdict,
     /// The pass sequence (spec form, e.g.
     /// `local-removal,barrier-elim,index-simplify`) that produced the
     /// winning transformed candidate. Recorded even when `choice` keeps
@@ -189,7 +168,7 @@ pub struct Decision {
     pub cycles_without: u64,
     /// What Grover did to the kernel.
     pub report: GroverReport,
-    /// `Some` when the decision was demoted to [`Choice::WithLocalMemory`]
+    /// `Some` when the decision was demoted to [`Verdict::WithLocalMemory`]
     /// by the hardening pipeline rather than by the cycle race.
     pub fallback: Option<FallbackReason>,
     /// `Some(confidence)` when the decision came from the predictive model
@@ -251,6 +230,47 @@ pub fn write_decision_fields(
     }
 }
 
+/// The decision wire fields, as [`read_decision_fields`] reads them back.
+#[derive(Clone, Debug, PartialEq)]
+pub struct DecisionFields {
+    /// The [`Verdict::kind`] tag.
+    pub choice: String,
+    /// The winning sequence spec; empty when the field is absent (records
+    /// written before sequence search existed).
+    pub sequence: String,
+    /// Normalised performance `t_with / t_without`.
+    pub np: f64,
+    /// Simulated cycles with local memory.
+    pub cycles_with: u64,
+    /// Simulated cycles without local memory.
+    pub cycles_without: u64,
+    /// `fallback.kind`, when the fallback is an object.
+    pub fallback_kind: Option<String>,
+    /// `fallback.detail`, when the fallback is an object.
+    pub fallback_detail: Option<String>,
+}
+
+/// Read back the fields [`write_decision_fields`] wrote for a measured
+/// decision: `choice`, `np`, `cycles_with` and `cycles_without` are
+/// required; `sequence` and `fallback` are tolerant of absence.
+pub fn read_decision_fields(v: &Json) -> Result<DecisionFields, String> {
+    let fallback = v.get("fallback").filter(|f| matches!(f, Json::Obj(_)));
+    let text = |f: &Json, k: &str| f.str_of(k).map(str::to_string);
+    Ok(DecisionFields {
+        choice: text(v, "choice").ok_or("missing field `choice`")?,
+        sequence: text(v, "sequence").unwrap_or_default(),
+        np: v.f64_of("np").ok_or("missing field `np`")?,
+        cycles_with: v
+            .u64_of("cycles_with")
+            .ok_or("missing field `cycles_with`")?,
+        cycles_without: v
+            .u64_of("cycles_without")
+            .ok_or("missing field `cycles_without`")?,
+        fallback_kind: fallback.and_then(|f| text(f, "kind")),
+        fallback_detail: fallback.and_then(|f| text(f, "detail")),
+    })
+}
+
 /// A representative workload: a factory producing a fresh context,
 /// argument list and launch geometry for each measurement run.
 pub struct Workload {
@@ -279,7 +299,8 @@ impl Workload {
 #[derive(Clone, Debug)]
 pub enum TuneError {
     /// Grover could not remove any local memory — there is nothing to tune.
-    NothingToDisable(String),
+    /// Carries the pass report that says why, per buffer.
+    NothingToDisable(GroverReport),
     /// A requested pass sequence failed to parse or validate
     /// ([`grover_core::SequenceError`], rendered).
     InvalidSequence(String),
@@ -301,7 +322,7 @@ impl std::fmt::Display for TuneError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TuneError::NothingToDisable(r) => {
-                write!(f, "kernel has no removable local memory:\n{r}")
+                write!(f, "kernel has no removable local memory:\n{}", r.to_text())
             }
             TuneError::InvalidSequence(e) => write!(f, "invalid pass sequence: {e}"),
             TuneError::UnknownDevice(d) => write!(f, "unknown device `{d}`"),
@@ -338,8 +359,6 @@ impl std::error::Error for TuneError {}
 /// [`FallbackReason`], so [`Tuner::best_kernel`] can never return a broken
 /// kernel; only a failure of the *original* kernel is a [`TuneError`].
 pub struct Tuner {
-    /// Similarity threshold (paper uses 5 %).
-    pub threshold: f64,
     /// Execution backend for every launch this tuner performs (race
     /// measurements and the differential-output guard alike). Defaults
     /// to the production engine ([`Backend::default`]); differential
@@ -414,10 +433,10 @@ impl Default for Tuner {
 }
 
 impl Tuner {
-    /// A tuner with the paper's 5 % similarity threshold.
+    /// A tuner with the default policy: the production engine, output
+    /// verification on, the device-seeded candidate race, no predictor.
     pub fn new() -> Tuner {
         Tuner {
-            threshold: 0.05,
             backend: Backend::default(),
             limits: Limits::default(),
             retry: RetryPolicy::default(),
@@ -517,31 +536,19 @@ impl Tuner {
         }
         let d = self.tune_candidates(kernel, candidates, device, workload)?;
         if let Some(p) = abstained {
-            if choice_of(p.verdict) != d.choice {
+            let rec = &*self.recorder;
+            if grade_prediction(&p, d.choice, &kernel.name, device, rec, self.parent) {
                 self.predict_wrong += 1;
-                if self.recorder.enabled() {
-                    self.recorder.event(
-                        "predict.wrong",
-                        self.parent,
-                        &[
-                            ("kernel", Value::from(kernel.name.as_str())),
-                            ("device", Value::from(device)),
-                            ("predicted", Value::from(p.verdict.kind())),
-                            ("measured", Value::from(d.choice.kind())),
-                            ("confidence", Value::from(p.confidence)),
-                        ],
-                    );
-                }
             }
         }
         Ok(d)
     }
 
     /// The model half of a tune: extract features (static, no launch),
-    /// score, and either build a zero-launch [`Decision`] or abstain.
-    /// Returns `(hit decision, prediction)` — the prediction is returned
-    /// even on abstain so the caller can grade it against the measured
-    /// race.
+    /// run the predict gate, and either build a zero-launch [`Decision`]
+    /// or abstain. Returns `(hit decision, prediction)` — the prediction
+    /// is returned even on abstain so the caller can grade it against the
+    /// measured race.
     fn predict_decision(
         &mut self,
         model: &PredictModel,
@@ -550,40 +557,22 @@ impl Tuner {
         candidates: &[Candidate],
         workload: &Workload,
     ) -> (Option<Decision>, Option<Prediction>) {
-        let recorder = self.recorder.clone();
-        let rec: &dyn Recorder = &*recorder;
         // Geometry comes from one workload instantiation; building a
         // context is pure host work, not a launch.
         let (_ctx, _args, nd) = workload.instantiate();
         let fv = FeatureVector::extract(kernel, nd.global, nd.local);
-
-        let span = rec
-            .enabled()
-            .then(|| rec.span_start("predict", self.parent));
-        if let Some(span) = span {
-            rec.span_attr(span, "kernel", Value::from(kernel.name.as_str()));
-            rec.span_attr(span, "device", Value::from(device));
-            rec.span_attr(span, "threshold", Value::from(self.predict_threshold));
-            rec.span_attr(span, "features", Value::from(fv.values_json()));
-        }
-        let p = model.predict(device, &fv);
-        let result = match p {
-            Some(p) if p.confidence >= self.predict_threshold => {
+        let gate = predict_gate(
+            Some(model),
+            &kernel.name,
+            device,
+            &fv,
+            self.predict_threshold,
+            &*self.recorder,
+            self.parent,
+        );
+        match gate {
+            Gate::Hit(p) => {
                 self.predict_hits += 1;
-                if let Some(span) = span {
-                    rec.event(
-                        "outcome",
-                        Some(span),
-                        &[
-                            ("outcome", Value::from("hit")),
-                            ("verdict", Value::from(p.verdict.kind())),
-                            ("confidence", Value::from(p.confidence)),
-                            ("np_est", Value::from(p.np_est)),
-                            ("exact_match", Value::from(p.exact_match)),
-                            ("neighbor", Value::from(p.neighbor_kernel.as_str())),
-                        ],
-                    );
-                }
                 // The default-sequence candidate stands in as the
                 // transformed side; a predicted decision names it so
                 // `best_kernel` resolves without a race.
@@ -593,7 +582,7 @@ impl Tuner {
                     .or_insert_with(|| winner.kernel.clone());
                 let d = Decision {
                     device: device.to_string(),
-                    choice: choice_of(p.verdict),
+                    choice: p.verdict,
                     sequence: winner.sequence.clone(),
                     np: p.np_est,
                     cycles_with: 0,
@@ -606,25 +595,11 @@ impl Tuner {
                     .insert((kernel.name.clone(), device.to_string()), d.clone());
                 (Some(d), Some(p))
             }
-            p => {
+            Gate::Abstain(p) => {
                 self.predict_abstains += 1;
-                if let Some(span) = span {
-                    let mut attrs = vec![("outcome", Value::from("abstain"))];
-                    if let Some(p) = &p {
-                        attrs.push(("verdict", Value::from(p.verdict.kind())));
-                        attrs.push(("confidence", Value::from(p.confidence)));
-                    } else {
-                        attrs.push(("reason", Value::from("no model for device")));
-                    }
-                    rec.event("outcome", Some(span), &attrs);
-                }
                 (None, p)
             }
-        };
-        if let Some(span) = span {
-            rec.span_end(span);
         }
-        result
     }
 
     /// Build one transformed candidate per sequence spec: parse + validate
@@ -657,7 +632,7 @@ impl Tuner {
             let mut k = kernel.clone();
             let pr = apply_sequence(&mut k, &seq, &options);
             if pr.report.removed_count() == 0 {
-                return Err(TuneError::NothingToDisable(pr.report.to_text()));
+                return Err(TuneError::NothingToDisable(pr.report));
             }
             out.push(Candidate {
                 sequence: seq.spec(),
@@ -683,7 +658,7 @@ impl Tuner {
             rec.span_attr(span, "kernel", Value::from(kernel.name.as_str()));
             rec.span_attr(span, "device", Value::from(device));
             rec.span_attr(span, "backend", Value::from(self.backend.name()));
-            rec.span_attr(span, "threshold", Value::from(self.threshold));
+            rec.span_attr(span, "threshold", Value::from(SIMILARITY_THRESHOLD));
             rec.span_attr(span, "verify_outputs", Value::from(self.verify_outputs));
             rec.span_attr(span, "candidates", Value::from(candidates.len()));
             let seqs: Vec<&str> = candidates.iter().map(|c| c.sequence.as_str()).collect();
@@ -907,13 +882,9 @@ impl Tuner {
             cycles_with as f64 / cycles_without as f64
         };
         let choice = if fallback.is_some() {
-            Choice::WithLocalMemory
-        } else if np > 1.0 + self.threshold {
-            Choice::WithoutLocalMemory
-        } else if np < 1.0 - self.threshold {
-            Choice::WithLocalMemory
+            Verdict::WithLocalMemory
         } else {
-            Choice::Similar
+            Verdict::from_np(np, SIMILARITY_THRESHOLD)
         };
         self.transformed
             .entry((kernel.name.clone(), device.to_string()))
@@ -947,7 +918,7 @@ impl Tuner {
     ) -> Result<Function, TuneError> {
         let d = self.tune(kernel, device, workload)?;
         Ok(match d.choice {
-            Choice::WithoutLocalMemory => self
+            Verdict::WithoutLocalMemory => self
                 .transformed
                 .get(&(kernel.name.clone(), device.to_string()))
                 .cloned()
@@ -1021,17 +992,6 @@ fn reason_of(f: MeasureFailure) -> FallbackReason {
         }
         MeasureFailure::Exec(ExecError::DeadlineExceeded) => FallbackReason::DeadlineExceeded,
         MeasureFailure::Exec(e) => FallbackReason::ExecFailed(e.to_string()),
-    }
-}
-
-/// Map a model verdict onto the tuner's choice vocabulary (they share
-/// the same wire names; the types stay separate so `grover-predict`
-/// remains dependency-free of the tuner).
-fn choice_of(v: Verdict) -> Choice {
-    match v {
-        Verdict::WithLocalMemory => Choice::WithLocalMemory,
-        Verdict::WithoutLocalMemory => Choice::WithoutLocalMemory,
-        Verdict::Similar => Choice::Similar,
     }
 }
 
@@ -1378,7 +1338,7 @@ mod tests {
         let d = t.tune(&k, "SNB", &w).unwrap();
         let best = t.best_kernel(&k, "SNB", &w).unwrap();
         match d.choice {
-            Choice::WithoutLocalMemory => assert_eq!(best.local_mem_bytes(), 0),
+            Verdict::WithoutLocalMemory => assert_eq!(best.local_mem_bytes(), 0),
             _ => assert_eq!(best.local_mem_bytes(), k.local_mem_bytes()),
         }
     }
@@ -1517,9 +1477,9 @@ mod tests {
         for dev in ["SNB", "Fermi"] {
             let d = t.tune(&k, dev, &w).unwrap();
             match d.choice {
-                Choice::WithoutLocalMemory => assert!(d.np > 1.05),
-                Choice::WithLocalMemory => assert!(d.np < 0.95),
-                Choice::Similar => assert!(d.np >= 0.95 && d.np <= 1.05),
+                Verdict::WithoutLocalMemory => assert!(d.np > 1.05),
+                Verdict::WithLocalMemory => assert!(d.np < 0.95),
+                Verdict::Similar => assert!(d.np >= 0.95 && d.np <= 1.05),
             }
         }
     }

@@ -10,9 +10,10 @@ use std::time::Duration;
 
 use grover_frontend::{compile, BuildOptions};
 use grover_ir::Function;
+use grover_predict::Verdict;
 use grover_runtime::fault::{self, FaultKind, FaultPlan, FaultSite, FaultTarget};
 use grover_runtime::{ArgValue, Context, ExecError, Limits, NdRange};
-use grover_tuner::{Choice, FallbackReason, RetryPolicy, TuneError, Tuner, Workload};
+use grover_tuner::{FallbackReason, RetryPolicy, TuneError, Tuner, Workload};
 
 /// A staging kernel (16-element local reversal) under a per-test name.
 fn staged_kernel(name: &str) -> Function {
@@ -61,7 +62,7 @@ fn race_thread_panic_demotes_to_original() {
     });
     let mut t = Tuner::new();
     let d = t.tune(&k, "SNB", &w).unwrap();
-    assert_eq!(d.choice, Choice::WithLocalMemory);
+    assert_eq!(d.choice, Verdict::WithLocalMemory);
     assert!(
         matches!(d.fallback, Some(FallbackReason::Panicked(_))),
         "expected Panicked fallback, got {:?}",
@@ -88,7 +89,7 @@ fn corrupted_transformed_output_demotes_to_original() {
     });
     let mut t = Tuner::new();
     let d = t.tune(&k, "SNB", &w).unwrap();
-    assert_eq!(d.choice, Choice::WithLocalMemory);
+    assert_eq!(d.choice, Verdict::WithLocalMemory);
     assert!(
         matches!(d.fallback, Some(FallbackReason::OutputMismatch { .. })),
         "expected OutputMismatch fallback, got {:?}",
@@ -146,7 +147,7 @@ fn single_panic_demotes_without_retry() {
     };
     let d = t.tune(&k, "SNB", &w).unwrap();
     assert!(matches!(d.fallback, Some(FallbackReason::Panicked(_))));
-    assert_eq!(d.choice, Choice::WithLocalMemory);
+    assert_eq!(d.choice, Verdict::WithLocalMemory);
 }
 
 /// An injected slowdown trips the wall-clock watchdog; the transformed
@@ -167,7 +168,7 @@ fn watchdog_deadline_demotes_slow_transformed() {
         ..Limits::default()
     };
     let d = t.tune(&k, "SNB", &w).unwrap();
-    assert_eq!(d.choice, Choice::WithLocalMemory);
+    assert_eq!(d.choice, Verdict::WithLocalMemory);
     assert_eq!(d.fallback, Some(FallbackReason::DeadlineExceeded));
     let best = t.best_kernel(&k, "SNB", &w).unwrap();
     assert_eq!(best.local_mem_bytes(), k.local_mem_bytes());
@@ -192,7 +193,7 @@ fn injected_exec_error_demotes_with_reason() {
         "local-removal,barrier-elim,index-simplify,remap".into()
     ]);
     let d = t.tune(&k, "SNB", &w).unwrap();
-    assert_eq!(d.choice, Choice::WithLocalMemory);
+    assert_eq!(d.choice, Verdict::WithLocalMemory);
     match &d.fallback {
         Some(FallbackReason::ExecFailed(msg)) => assert!(msg.contains("injected")),
         other => panic!("expected ExecFailed fallback, got {other:?}"),
@@ -253,7 +254,7 @@ fn instruction_site_fault_demotes() {
     });
     let mut t = Tuner::new();
     let d = t.tune(&k, "SNB", &w).unwrap();
-    assert_eq!(d.choice, Choice::WithLocalMemory);
+    assert_eq!(d.choice, Verdict::WithLocalMemory);
     match &d.fallback {
         Some(FallbackReason::ExecFailed(msg)) => assert!(msg.contains("injected mid-group")),
         other => panic!("expected ExecFailed fallback, got {other:?}"),
@@ -283,5 +284,5 @@ fn fallback_decisions_are_cached() {
     // Plan uninstalled — a fresh tune would now succeed, but the cache wins.
     let d2 = t.tune(&k, "SNB", &w).unwrap();
     assert!(matches!(d2.fallback, Some(FallbackReason::Panicked(_))));
-    assert_eq!(d2.choice, Choice::WithLocalMemory);
+    assert_eq!(d2.choice, Verdict::WithLocalMemory);
 }

@@ -7,8 +7,9 @@
 //! ```
 
 use grover::frontend::{compile, BuildOptions};
+use grover::predict::Verdict;
 use grover::runtime::{ArgValue, Context, NdRange};
-use grover::tuner::{Choice, Tuner, Workload};
+use grover::tuner::{Tuner, Workload};
 
 const KERNEL: &str = r#"
 __kernel void mt(__global float* in, __global float* out, int w) {
@@ -54,9 +55,9 @@ fn main() {
         match result {
             Ok(d) => {
                 let verdict = match d.choice {
-                    Choice::WithLocalMemory => "keep local memory",
-                    Choice::WithoutLocalMemory => "disable local memory",
-                    Choice::Similar => "either (within 5%)",
+                    Verdict::WithLocalMemory => "keep local memory",
+                    Verdict::WithoutLocalMemory => "disable local memory",
+                    Verdict::Similar => "either (within 5%)",
                 };
                 println!("  {device:<9} np = {:>6.3}  →  {verdict}", d.np);
             }
