@@ -60,20 +60,49 @@ impl CacheStats {
     }
 }
 
+/// A precomputed divisor for the repeated `x / d`, `x % d` of address
+/// decomposition: a shift and a mask when `d` is a power of two.
 #[derive(Clone, Copy, Debug)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// LRU timestamp (higher = more recent).
-    stamp: u64,
+struct Divisor {
+    d: u64,
+    /// `log2(d)` when `d` is a power of two.
+    shift: Option<u32>,
+}
+
+impl Divisor {
+    fn new(d: u64) -> Divisor {
+        Divisor {
+            d,
+            shift: d.is_power_of_two().then(|| d.trailing_zeros()),
+        }
+    }
+
+    /// `(x / d, x % d)`.
+    #[inline]
+    fn div_rem(self, x: u64) -> (u64, u64) {
+        match self.shift {
+            Some(s) => (x >> s, x & (self.d - 1)),
+            None => (x / self.d, x % self.d),
+        }
+    }
 }
 
 /// A single cache level.
+///
+/// Storage is flat and set-major: way `w` of set `s` lives at index
+/// `s * ways + w` of each array. The arrays start zeroed (one
+/// `alloc_zeroed` each, so untouched sets cost no pages) and a stamp of 0
+/// marks an invalid way; live stamps start at 1.
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    line: Divisor,
+    sets: Divisor,
+    ways: usize,
+    tags: Vec<u64>,
+    /// LRU timestamp per way (higher = more recent, 0 = invalid).
+    stamps: Vec<u64>,
+    dirty: Vec<bool>,
     clock: u64,
     /// Running statistics.
     pub stats: CacheStats,
@@ -94,22 +123,16 @@ pub enum Probe {
 impl Cache {
     /// An empty cache with the given geometry.
     pub fn new(config: CacheConfig) -> Cache {
-        let sets = (0..config.num_sets())
-            .map(|_| {
-                vec![
-                    Line {
-                        tag: 0,
-                        valid: false,
-                        dirty: false,
-                        stamp: 0
-                    };
-                    config.ways as usize
-                ]
-            })
-            .collect();
+        let ways = config.ways as usize;
+        let lines = config.num_sets() as usize * ways;
         Cache {
             config,
-            sets,
+            line: Divisor::new(config.line_bytes),
+            sets: Divisor::new(config.num_sets()),
+            ways,
+            tags: vec![0; lines],
+            stamps: vec![0; lines],
+            dirty: vec![false; lines],
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -124,40 +147,43 @@ impl Cache {
     /// split by the caller (see [`Cache::access_range`]).
     pub fn access(&mut self, addr: u64, is_write: bool) -> Probe {
         self.clock += 1;
-        let line_addr = addr / self.config.line_bytes;
-        let set_idx = (line_addr % self.config.num_sets()) as usize;
-        let tag = line_addr / self.config.num_sets();
-        let set = &mut self.sets[set_idx];
+        let (line_addr, _) = self.line.div_rem(addr);
+        let (tag, set_idx) = self.sets.div_rem(line_addr);
+        let base = set_idx as usize * self.ways;
+        let set = base..base + self.ways;
+        let (tags, stamps, dirty) = (
+            &mut self.tags[set.clone()],
+            &mut self.stamps[set.clone()],
+            &mut self.dirty[set],
+        );
 
-        if let Some(l) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            l.stamp = self.clock;
-            l.dirty |= is_write;
-            self.stats.hits += 1;
-            return Probe::Hit;
+        // One pass finds a hit or the victim: the first way with the
+        // smallest stamp, which is the first invalid way if any (stamp 0),
+        // else the least recently used.
+        let mut victim = 0;
+        for w in 0..tags.len() {
+            if stamps[w] != 0 && tags[w] == tag {
+                stamps[w] = self.clock;
+                dirty[w] |= is_write;
+                self.stats.hits += 1;
+                return Probe::Hit;
+            }
+            if stamps[w] < stamps[victim] {
+                victim = w;
+            }
         }
         self.stats.misses += 1;
-        // Victim: invalid line if any, else LRU.
-        let victim = match set.iter().position(|l| !l.valid) {
-            Some(i) => i,
-            None => {
-                self.stats.evictions += 1;
-                set.iter()
-                    .enumerate()
-                    .min_by_key(|(_, l)| l.stamp)
-                    .map(|(i, _)| i)
-                    .expect("nonempty set")
-            }
-        };
-        let writeback = set[victim].valid && set[victim].dirty;
+        let valid = stamps[victim] != 0;
+        if valid {
+            self.stats.evictions += 1;
+        }
+        let writeback = valid && dirty[victim];
         if writeback {
             self.stats.writebacks += 1;
         }
-        set[victim] = Line {
-            tag,
-            valid: true,
-            dirty: is_write,
-            stamp: self.clock,
-        };
+        tags[victim] = tag;
+        stamps[victim] = self.clock;
+        dirty[victim] = is_write;
         Probe::Miss { writeback }
     }
 
@@ -178,18 +204,199 @@ impl Cache {
 
     /// Drop all contents (e.g. between benchmark repetitions).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for l in set {
-                l.valid = false;
-                l.dirty = false;
-            }
-        }
+        self.stamps.fill(0);
+        self.dirty.fill(false);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hierarchy::llc_slice;
+    use crate::profiles::{fermi, kepler, mic, nehalem, snb, tahiti};
+
+    /// The original nested-`Vec` true-LRU cache, kept as the reference
+    /// model the flat storage must reproduce probe for probe.
+    struct RefCache {
+        config: CacheConfig,
+        sets: Vec<Vec<RefLine>>,
+        clock: u64,
+        stats: CacheStats,
+    }
+
+    #[derive(Clone, Copy)]
+    struct RefLine {
+        tag: u64,
+        valid: bool,
+        dirty: bool,
+        stamp: u64,
+    }
+
+    impl RefCache {
+        fn new(config: CacheConfig) -> RefCache {
+            let line = RefLine {
+                tag: 0,
+                valid: false,
+                dirty: false,
+                stamp: 0,
+            };
+            RefCache {
+                config,
+                sets: vec![vec![line; config.ways as usize]; config.num_sets() as usize],
+                clock: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn access(&mut self, addr: u64, is_write: bool) -> Probe {
+            self.clock += 1;
+            let line_addr = addr / self.config.line_bytes;
+            let set_idx = (line_addr % self.config.num_sets()) as usize;
+            let tag = line_addr / self.config.num_sets();
+            let set = &mut self.sets[set_idx];
+            if let Some(l) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
+                l.stamp = self.clock;
+                l.dirty |= is_write;
+                self.stats.hits += 1;
+                return Probe::Hit;
+            }
+            self.stats.misses += 1;
+            let victim = match set.iter().position(|l| !l.valid) {
+                Some(i) => i,
+                None => {
+                    self.stats.evictions += 1;
+                    set.iter()
+                        .enumerate()
+                        .min_by_key(|(_, l)| l.stamp)
+                        .map(|(i, _)| i)
+                        .expect("nonempty set")
+                }
+            };
+            let writeback = set[victim].valid && set[victim].dirty;
+            if writeback {
+                self.stats.writebacks += 1;
+            }
+            set[victim] = RefLine {
+                tag,
+                valid: true,
+                dirty: is_write,
+                stamp: self.clock,
+            };
+            Probe::Miss { writeback }
+        }
+
+        fn flush(&mut self) {
+            for l in self.sets.iter_mut().flatten() {
+                l.valid = false;
+                l.dirty = false;
+            }
+        }
+    }
+
+    /// SplitMix64: a seeded stream for the differential test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// Every distinct cache geometry the device profiles build: each CPU's
+    /// L1, L2 and LLC (MIC's as one distributed slice) and each GPU's L2.
+    fn profile_configs() -> Vec<CacheConfig> {
+        let cpus = [snb(), nehalem(), mic()];
+        let cpu_levels = cpus.iter().flat_map(|p| [p.l1, p.l2, llc_slice(p)]);
+        let gpu_l2s = [fermi().l2, kepler().l2, tahiti().l2];
+        let mut out: Vec<CacheConfig> = Vec::new();
+        for c in cpu_levels.chain(gpu_l2s) {
+            if !out.contains(&c) {
+                out.push(c);
+            }
+        }
+        out
+    }
+
+    /// The flat cache and the reference, driven in lockstep.
+    struct Twin {
+        flat: Cache,
+        reference: RefCache,
+    }
+
+    impl Twin {
+        fn access(&mut self, addr: u64, is_write: bool) {
+            let got = self.flat.access(addr, is_write);
+            let want = self.reference.access(addr, is_write);
+            assert_eq!(
+                got, want,
+                "{:?}: access {addr:#x} write={is_write}",
+                self.flat.config
+            );
+        }
+
+        fn flush(&mut self) {
+            self.flat.flush();
+            self.reference.flush();
+        }
+    }
+
+    #[test]
+    fn flat_cache_matches_nested_reference_on_every_profile_geometry() {
+        let configs = profile_configs();
+        // SNB's and Nehalem's L1s coincide.
+        assert_eq!(configs.len(), 11);
+        for (i, config) in configs.into_iter().enumerate() {
+            let mut rng = Rng(0x5EED ^ i as u64);
+            let mut twin = Twin {
+                flat: Cache::new(config),
+                reference: RefCache::new(config),
+            };
+            let sets = config.num_sets();
+            let line = config.line_bytes;
+            let capacity = config.size_bytes;
+            // Uniform over twice the capacity: cold misses, hits, evictions.
+            for _ in 0..20_000 {
+                let addr = rng.below(2 * capacity);
+                twin.access(addr, rng.below(3) == 0);
+            }
+            twin.flush();
+            // Conflict-heavy: a handful of sets, tags around the
+            // associativity, so LRU order and dirty victims decide every
+            // probe.
+            for _ in 0..20_000 {
+                let set = rng.below(4.min(sets)) * (sets / 4).max(1);
+                let tag = rng.below(2 * config.ways);
+                let addr = (tag * sets + set) * line + rng.below(line);
+                twin.access(addr, rng.below(3) == 0);
+            }
+            twin.flush();
+            // Sequential 4-byte accesses, then a set-sized stride that
+            // lands every access in one set.
+            let start = rng.below(capacity);
+            for k in 0..20_000 {
+                twin.access(start + 4 * k, rng.below(3) == 0);
+            }
+            for k in 0..4 * config.ways {
+                twin.access(start + k * sets * line, rng.below(3) == 0);
+            }
+            twin.flush();
+            // Strided by one and a half lines over four times the capacity.
+            for k in 0..20_000 {
+                twin.access((k * (line + line / 2)) % (4 * capacity), rng.below(3) == 0);
+            }
+            assert_eq!(twin.flat.stats, twin.reference.stats, "{config:?}");
+            assert!(twin.flat.stats.evictions > 0, "{config:?}");
+            assert!(twin.flat.stats.writebacks > 0, "{config:?}");
+        }
+    }
 
     fn tiny() -> Cache {
         // 4 sets x 2 ways x 16B lines = 128 B

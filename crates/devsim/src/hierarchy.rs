@@ -3,7 +3,7 @@
 //! L1/L2, a unified or distributed last level, and per-core stride
 //! prefetchers.
 
-use crate::cache::{Cache, CacheStats, Probe};
+use crate::cache::{Cache, CacheConfig, CacheStats, Probe};
 use crate::profiles::CpuProfile;
 
 /// Base of the per-core local-memory scratch regions in the simulated
@@ -41,10 +41,11 @@ impl StridePrefetcher {
         }
     }
 
-    /// Record an L2 miss; return prefetch addresses to install.
-    pub(crate) fn miss(&mut self, addr: u64, clock: u64) -> Vec<u64> {
+    /// Record an L2 miss; hand each prefetch address to `install`, in
+    /// stride order.
+    pub(crate) fn miss(&mut self, addr: u64, clock: u64, mut install: impl FnMut(u64)) {
         if self.max_streams == 0 {
-            return Vec::new();
+            return;
         }
         // Find a stream whose next expected address matches.
         for st in &mut self.streams {
@@ -53,11 +54,10 @@ impl StridePrefetcher {
                 st.last = addr;
                 st.confirmed = true;
                 st.age = clock;
-                let stride = st.stride;
-                let degree = self.degree;
-                return (1..=degree)
-                    .map(|k| (addr as i64 + stride * k as i64) as u64)
-                    .collect();
+                for k in 1..=self.degree {
+                    install((addr as i64 + st.stride * k as i64) as u64);
+                }
+                return;
             }
         }
         // Try to pair with the *closest* unconfirmed stream (establish the
@@ -83,7 +83,7 @@ impl StridePrefetcher {
             st.last = addr;
             st.confirmed = true;
             st.age = clock;
-            return Vec::new();
+            return;
         }
         // Allocate a new stream (evict the oldest).
         let st = Stream {
@@ -97,8 +97,18 @@ impl StridePrefetcher {
         } else if let Some(old) = self.streams.iter_mut().min_by_key(|s| s.age) {
             *old = st;
         }
-        Vec::new()
     }
+}
+
+/// The geometry of one last-level slice: the whole LLC when unified, an
+/// equal per-core share (at least one full set) when distributed.
+pub(crate) fn llc_slice(profile: &CpuProfile) -> CacheConfig {
+    let mut slice = profile.llc;
+    if profile.llc_distributed {
+        slice.size_bytes =
+            (slice.size_bytes / profile.cores as u64).max(slice.line_bytes * slice.ways);
+    }
+    slice
 }
 
 /// Private L1/L2 per core, unified or distributed last level, prefetchers.
@@ -119,14 +129,13 @@ impl CoreMemory {
     pub fn new(profile: CpuProfile) -> CoreMemory {
         let l1 = (0..profile.cores).map(|_| Cache::new(profile.l1)).collect();
         let l2 = (0..profile.cores).map(|_| Cache::new(profile.l2)).collect();
-        let llc = if profile.llc_distributed {
-            let mut slice = profile.llc;
-            slice.size_bytes =
-                (slice.size_bytes / profile.cores as u64).max(slice.line_bytes * slice.ways);
-            (0..profile.cores).map(|_| Cache::new(slice)).collect()
+        let slices = if profile.llc_distributed {
+            profile.cores
         } else {
-            vec![Cache::new(profile.llc)]
+            1
         };
+        let slice = llc_slice(&profile);
+        let llc = (0..slices).map(|_| Cache::new(slice)).collect();
         let prefetchers = (0..profile.cores)
             .map(|_| StridePrefetcher::new(profile.prefetch_streams, profile.prefetch_degree))
             .collect();
@@ -168,10 +177,11 @@ impl CoreMemory {
             return p.l2.latency;
         }
         // L2 miss: consult the stream prefetcher and install predictions.
-        for pf_addr in self.prefetchers[core].miss(addr, clock) {
-            self.l2[core].access(pf_addr, false);
-            self.prefetch_issued += 1;
-        }
+        let (l2, issued) = (&mut self.l2[core], &mut self.prefetch_issued);
+        self.prefetchers[core].miss(addr, clock, |pf_addr| {
+            l2.access(pf_addr, false);
+            *issued += 1;
+        });
         let (slice, remote) = if p.llc_distributed {
             let s = ((addr / p.llc.line_bytes) as usize) % self.llc.len();
             (s, s != core)

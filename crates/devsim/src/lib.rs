@@ -36,7 +36,11 @@ pub use cpu::CpuModel;
 pub use cpu_simd::SimdCpuModel;
 pub use gpu::GpuModel;
 pub use model::{AnalyticCpuModel, OpCounts};
-pub use profiles::{candidate_sequences, CpuProfile, GpuProfile, ALL_DEVICES, CPU_DEVICES};
+pub use profiles::{
+    candidate_sequences, is_device, CpuProfile, GpuProfile, ALL_DEVICES, CPU_DEVICES,
+};
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use grover_runtime::{AccessEvent, TraceSink};
 
@@ -75,14 +79,26 @@ pub enum Device {
     Gpu(GpuModel),
 }
 
+/// Device models built by [`Device::by_name`] in this process.
+static BUILT: AtomicU64 = AtomicU64::new(0);
+
 impl Device {
     /// Instantiate a device by its paper name
-    /// (`SNB`, `Nehalem`, `MIC`, `Fermi`, `Kepler`, `Tahiti`).
+    /// (`SNB`, `Nehalem`, `MIC`, `Fermi`, `Kepler`, `Tahiti`). To check a
+    /// name without building a model, use [`is_device`].
     pub fn by_name(name: &str) -> Option<Device> {
-        if let Some(p) = profiles::cpu_by_name(name) {
-            return Some(Device::Cpu(CpuModel::new(p)));
-        }
-        profiles::gpu_by_name(name).map(|p| Device::Gpu(GpuModel::new(p)))
+        let dev = match profiles::cpu_by_name(name) {
+            Some(p) => Device::Cpu(CpuModel::new(p)),
+            None => Device::Gpu(GpuModel::new(profiles::gpu_by_name(name)?)),
+        };
+        BUILT.fetch_add(1, Ordering::Relaxed);
+        Some(dev)
+    }
+
+    /// How many device models [`Device::by_name`] has built in this
+    /// process so far.
+    pub fn built() -> u64 {
+        BUILT.load(Ordering::Relaxed)
     }
 
     /// Whether this is a cache-only (CPU-class) device.

@@ -217,6 +217,12 @@ pub const CPU_DEVICES: [&str; 3] = ["SNB", "Nehalem", "MIC"];
 /// All six devices of Fig. 2.
 pub const ALL_DEVICES: [&str; 6] = ["Fermi", "Kepler", "Tahiti", "SNB", "Nehalem", "MIC"];
 
+/// Whether `name` is one of the six device profiles. A table lookup: it
+/// builds no model.
+pub fn is_device(name: &str) -> bool {
+    ALL_DEVICES.contains(&name)
+}
+
 /// Candidate pass sequences raced by the tuner on CPU devices.
 ///
 /// CPUs pay a heavy per-work-item fiber switch at every barrier
@@ -272,6 +278,18 @@ mod tests {
         assert!(cpu_by_name("Fermi").is_none());
         assert_eq!(gpu_by_name("Tahiti").unwrap().warp_width, 64);
         assert!(gpu_by_name("SNB").is_none());
+    }
+
+    #[test]
+    fn name_check_matches_profile_table() {
+        for d in ALL_DEVICES {
+            assert!(is_device(d), "{d}");
+            assert!(cpu_by_name(d).is_some() != gpu_by_name(d).is_some(), "{d}");
+            assert_eq!(CPU_DEVICES.contains(&d), cpu_by_name(d).is_some(), "{d}");
+        }
+        for d in ["TPU", "snb", "", "SNB "] {
+            assert!(!is_device(d), "{d:?}");
+        }
     }
 
     #[test]

@@ -63,7 +63,7 @@ use std::time::{Duration, Instant};
 use grover_core::{
     pass_fingerprint, tune_key_with_sequences, Grover, GroverOptions, GroverReport, Sequence,
 };
-use grover_devsim::Device;
+use grover_devsim::is_device;
 use grover_frontend::{compile, BuildOptions};
 use grover_ir::printer::function_to_string;
 use grover_ir::{Function, Scalar, Type};
@@ -983,7 +983,7 @@ fn parse_tune_params(shared: &Shared, body: &Json, span: SpanId) -> Result<TuneP
     let Some(device) = body.str_of("device") else {
         return Err(bad_request("missing required field `device`"));
     };
-    if Device::by_name(device).is_none() {
+    if !is_device(device) {
         return Err(bad_request(format!(
             "unknown device `{device}` (known: {})",
             grover_devsim::ALL_DEVICES.join(", ")

@@ -50,7 +50,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use grover_core::{apply_sequence, GroverOptions, GroverReport, Sequence};
-use grover_devsim::Device;
+use grover_devsim::{is_device, Device};
 use grover_ir::Function;
 use grover_obs::json::{Json, Obj};
 use grover_obs::{NoopRecorder, Recorder, SpanId, Value};
@@ -518,7 +518,7 @@ impl Tuner {
             return Ok(d.clone());
         }
         // Fail fast on a bad device name before any transform work.
-        if Device::by_name(device).is_none() {
+        if !is_device(device) {
             return Err(TuneError::UnknownDevice(device.to_string()));
         }
         let candidates = self.build_candidates(kernel, device)?;
