@@ -613,6 +613,7 @@ fn cmd_profile_ops(
             Backend::Bytecode,
             &NoopRecorder,
             None,
+            &[],
             Some(&mut profile),
         )
         .map_err(|e| Failure::new(EXIT_EXEC, format!("{version} kernel: {e}")))?;
@@ -1356,28 +1357,30 @@ fn export_suite_corpus(
             .collect::<Result<_, _>>()?,
         None => suite_apps(),
     };
+    let device_refs: Vec<&str> = device_names.iter().map(String::as_str).collect();
     let mut lines = Vec::new();
     for app in &apps {
         let pair = prepare_pair(app, scale)
             .map_err(|e| Failure::new(EXIT_COMPILE, format!("{}: {e}", app.id)))?;
         let nd = (app.prepare)(scale).nd;
         let features = FeatureVector::extract(&pair.original, nd.global, nd.local);
-        for device in &device_names {
-            let prepare = app.prepare;
-            let workload = Workload::new(move || {
-                let p = prepare(scale);
-                (p.ctx, p.args, p.nd)
-            });
-            let mut tuner = Tuner::new();
-            tuner.recorder = recorder.clone();
-            tuner.verify_outputs = verify;
-            let d = tuner
-                .tune(&pair.original, device, &workload)
-                .map_err(tune_failure)?;
+        let prepare = app.prepare;
+        let workload = Workload::new(move || {
+            let p = prepare(scale);
+            (p.ctx, p.args, p.nd)
+        });
+        // One plan per app: each distinct kernel executes once for every
+        // device that races it. The first failing device, in the order
+        // given, decides the exit code.
+        let mut tuner = Tuner::new();
+        tuner.recorder = recorder.clone();
+        tuner.verify_outputs = verify;
+        for (device, result) in tuner.tune_all(&pair.original, &device_refs, &workload) {
+            let d = result.map_err(tune_failure)?;
             let row = CorpusRow {
                 app: app.id.to_string(),
                 kernel: pair.original.name.clone(),
-                device: device.clone(),
+                device,
                 choice: d.choice,
                 np: d.np,
                 cycles_with: d.cycles_with,

@@ -70,8 +70,11 @@ type LaneAccesses = Vec<(u64, u32, bool)>;
 struct GroupAccum {
     /// (local, pc) -> how many accesses this work-item issued at this pc.
     counters: HashMap<(u32, u32), u32>,
-    /// (pc, occurrence, simd_group) -> fused per-lane accesses.
-    fused: HashMap<(u32, u32, u32), LaneAccesses>,
+    /// (pc, occurrence, simd_group) -> index into `fused`.
+    slots: HashMap<(u32, u32, u32), usize>,
+    /// Fused per-lane accesses of each (pc, occurrence, simd_group), in
+    /// first-issue order, so the caches see the same order every run.
+    fused: Vec<LaneAccesses>,
     instructions: u64,
     barriers: u64,
 }
@@ -121,7 +124,7 @@ impl SimdCpuModel {
         let p = self.mem.profile().clone();
         let mut cycles = 0u64;
 
-        for lanes in acc.fused.values() {
+        for lanes in &acc.fused {
             let addrs: Vec<(u64, u32)> = lanes.iter().map(|&(a, b, _)| (a, b)).collect();
             let is_store = lanes.iter().any(|&(_, _, s)| s);
             let clock = self.cycles[core] + cycles;
@@ -167,7 +170,8 @@ impl SimdCpuModel {
 
     /// Finish the simulation (retiring pending groups) and report.
     pub fn finish(&mut self) -> PerfReport {
-        let groups: Vec<u32> = self.pending.keys().copied().collect();
+        let mut groups: Vec<u32> = self.pending.keys().copied().collect();
+        groups.sort_unstable();
         for g in groups {
             self.retire_group(g);
         }
@@ -203,11 +207,12 @@ impl TraceSink for SimdCpuModel {
             v
         };
         let sgroup = ev.local / width;
-        acc.fused.entry((ev.pc, occ, sgroup)).or_default().push((
-            addr,
-            ev.bytes,
-            ev.op == TraceOp::Store,
-        ));
+        let next = acc.fused.len();
+        let slot = *acc.slots.entry((ev.pc, occ, sgroup)).or_insert(next);
+        if slot == next {
+            acc.fused.push(Vec::new());
+        }
+        acc.fused[slot].push((addr, ev.bytes, ev.op == TraceOp::Store));
     }
 
     fn barrier(&mut self, group: u32, items: u32) {

@@ -39,8 +39,11 @@ struct GroupAccum {
     /// counters[(local, pc)] = how many accesses this work-item has issued
     /// at this pc so far.
     counters: HashMap<(u32, u32), u32>,
-    /// (pc, occurrence, warp) -> distinct transaction segments.
-    segments: HashMap<(u32, u32, u32), Vec<u64>>,
+    /// (pc, occurrence, warp) -> index into `segments`.
+    slots: HashMap<(u32, u32, u32), usize>,
+    /// Distinct transaction segments of each (pc, occurrence, warp), in
+    /// first-issue order, so the L2 sees the same probe order every run.
+    segments: Vec<Vec<u64>>,
     spm_accesses: u64,
     instructions: u64,
     barriers: u64,
@@ -69,7 +72,8 @@ impl GpuModel {
 
     /// Finish and report. Any still-pending groups are flushed.
     pub fn finish(&mut self) -> PerfReport {
-        let groups: Vec<u32> = self.pending.keys().copied().collect();
+        let mut groups: Vec<u32> = self.pending.keys().copied().collect();
+        groups.sort_unstable();
         for g in groups {
             self.retire_group(g);
         }
@@ -98,7 +102,7 @@ impl GpuModel {
 
         // Global transactions through L2/DRAM.
         let mut mem = 0u64;
-        for segs in acc.segments.values() {
+        for segs in &acc.segments {
             for &seg in segs {
                 self.transactions += 1;
                 let lat = if self.l2.access(seg * p.transaction_bytes, false) == Probe::Hit {
@@ -149,7 +153,12 @@ impl TraceSink for GpuModel {
                     *c += 1;
                     v
                 };
-                let segs = acc.segments.entry((ev.pc, occ, warp)).or_default();
+                let next = acc.segments.len();
+                let slot = *acc.slots.entry((ev.pc, occ, warp)).or_insert(next);
+                if slot == next {
+                    acc.segments.push(Vec::new());
+                }
+                let segs = &mut acc.segments[slot];
                 let first = ev.addr / tb;
                 let last = (ev.addr + ev.bytes.max(1) as u64 - 1) / tb;
                 for s in first..=last {

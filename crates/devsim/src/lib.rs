@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use grover_runtime::{AccessEvent, TraceSink};
 
 /// Estimated performance of one kernel launch on one device.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PerfReport {
     /// Device name the report describes.
     pub device: String,
@@ -157,6 +157,53 @@ mod tests {
         assert!(Device::by_name("TPU").is_none());
         assert!(Device::by_name("SNB").unwrap().is_cpu());
         assert!(!Device::by_name("Fermi").unwrap().is_cpu());
+    }
+
+    /// A synthetic launch: 64 groups of 256 work-items, each issuing 8
+    /// scattered global loads over 8 MiB — far more than the Fermi L2
+    /// (768 KiB) holds, so the probe order decides which lines survive.
+    fn scattered_launch(sink: &mut dyn TraceSink) {
+        use grover_ir::AddressSpace;
+        use grover_runtime::TraceOp;
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for group in 0..64 {
+            for local in 0..256 {
+                for pc in 0..8 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    sink.access(&AccessEvent {
+                        op: TraceOp::Load,
+                        space: AddressSpace::Global,
+                        addr: (x % (8 << 20)) & !3,
+                        bytes: 4,
+                        group,
+                        local,
+                        pc,
+                    });
+                }
+                sink.workitem_done(group, local, 40);
+            }
+            sink.workgroup_done(group);
+        }
+    }
+
+    #[test]
+    fn same_launch_simulates_identically_twice() {
+        let run = |device: &str| {
+            let mut d = Device::by_name(device).unwrap();
+            scattered_launch(&mut d);
+            d.finish()
+        };
+        let first = run("Fermi");
+        assert!(first.l2.evictions > 0 && first.l2.hits > 0, "{first:?}");
+        assert_eq!(first, run("Fermi"));
+        let simd = || {
+            let mut m = SimdCpuModel::new(profiles::snb());
+            scattered_launch(&mut m);
+            m.finish()
+        };
+        assert_eq!(simd(), simd());
     }
 
     #[test]

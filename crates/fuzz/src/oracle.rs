@@ -166,6 +166,7 @@ pub fn run_kernel(
         backend,
         rec,
         parent,
+        &[],
         None,
     )
     .map_err(|e| e.to_string())?;

@@ -132,6 +132,7 @@ pub fn run_prepared_observed(
         backend,
         recorder,
         parent,
+        &[],
         None,
     )
     .map_err(|e| format!("execution failed: {e}"))?;

@@ -31,6 +31,7 @@ fn profile_one(
         backend,
         &grover_obs::NOOP,
         None,
+        &[],
         Some(&mut profile),
     )
     .unwrap_or_else(|e| panic!("{} [{}]: {e}", app.id, backend));

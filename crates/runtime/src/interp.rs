@@ -142,7 +142,7 @@ impl Default for Limits {
 ///
 /// Work-groups run one after another on the calling thread, in
 /// group-linear order (`x` fastest). Concurrency lives one level up: the
-/// tuner races whole measurements on scoped threads, and the serving layer
+/// tuner runs whole executions on scoped workers, and the serving layer
 /// runs requests on its worker pool.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecPolicy {

@@ -60,8 +60,9 @@ impl TraceSink for TeeSink<'_> {
 /// (`work_groups`, `work_items`), `instructions`, `barriers`, per-space
 /// access counts (`global_loads`, `local_stores`, ...), per-space byte
 /// tallies (`global_bytes_loaded`, ...), totals (`bytes_loaded`,
-/// `bytes_stored`) and `wall_us`. On failure the metrics observed up to
-/// the error are still recorded, plus `error`.
+/// `bytes_stored`) and `wall_us`, plus the caller's `tags` (the tuner
+/// names the device models a launch fed). On failure the metrics
+/// observed up to the error are still recorded, plus `error`.
 ///
 /// When `profile_out` is `Some` and the backend is [`Backend::Bytecode`],
 /// a successful launch writes its per-opcode [`OpProfile`] through
@@ -86,6 +87,7 @@ pub fn enqueue_observed(
     backend: Backend,
     recorder: &dyn Recorder,
     parent: Option<SpanId>,
+    tags: &[(&str, Value)],
     profile_out: Option<&mut Option<OpProfile>>,
 ) -> Result<LaunchStats, ExecError> {
     if !recorder.enabled() {
@@ -95,6 +97,9 @@ pub fn enqueue_observed(
     let span = recorder.span_start("launch", parent);
     recorder.span_attr(span, "kernel", Value::from(kernel.name.as_str()));
     recorder.span_attr(span, "backend", Value::from(backend.name()));
+    for (key, value) in tags {
+        recorder.span_attr(span, key, value.clone());
+    }
 
     let mut tee = TeeSink {
         inner: sink,

@@ -865,7 +865,10 @@ fn cache_miss_launches_run_on_the_bytecode_engine() {
 
     let snap = rec.snapshot();
     let launches = snap.spans_named("launch");
-    assert!(!launches.is_empty(), "a miss races real launches");
+    // The original and the 3 seeded candidates; the output guard compares
+    // their own results and launches nothing more.
+    assert_eq!(launches.len(), 4, "a miss races real launches");
+    assert_eq!(server.metrics().launches.get(), 4);
     for span in &launches {
         assert_eq!(span.attr_str("backend"), Some("bytecode"), "{span:?}");
     }

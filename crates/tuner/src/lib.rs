@@ -43,10 +43,10 @@
 //! let _best = tuner.best_kernel(kernel, "SNB", &workload).unwrap();
 //! ```
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use grover_core::{apply_sequence, GroverOptions, GroverReport, Sequence};
@@ -59,8 +59,8 @@ use grover_predict::{
     Verdict, SIMILARITY_THRESHOLD,
 };
 use grover_runtime::{
-    enqueue_observed, enqueue_with_backend, ArgValue, Backend, BufferData, Context, ExecError,
-    ExecPolicy, Limits, NdRange, NullSink,
+    enqueue_observed, AccessEvent, ArgValue, Backend, BufferData, Context, ExecError, Limits,
+    NdRange, TraceSink,
 };
 
 /// Why a tuning run was demoted to the original kernel regardless of the
@@ -80,7 +80,7 @@ pub enum FallbackReason {
     /// The transformed kernel failed with an execution error.
     ExecFailed(String),
     /// A measurement of the transformed kernel panicked; the panic was
-    /// isolated to the race thread and converted.
+    /// isolated to its job and converted.
     Panicked(String),
     /// The transformed measurement exceeded the wall-clock deadline.
     DeadlineExceeded,
@@ -338,41 +338,48 @@ impl std::error::Error for TuneError {}
 
 /// The auto-tuner. Decisions are cached per `(kernel name, device)`.
 ///
-/// Since PR 9 a tuning run is an *N-way sequence race*: the original
-/// kernel plus one transformed candidate per pass sequence (seeded per
-/// device profile from `grover_devsim::candidate_sequences`, or overridden
-/// via [`Tuner::sequences`]) are measured concurrently on scoped threads —
-/// each measurement owns its device model, context and trace, so they are
-/// independent and the measured cycle counts are identical to a
-/// back-to-back run. The fastest candidate becomes the transformed side of
-/// the decision, and its sequence is recorded in [`Decision::sequence`].
+/// A tuning run is an *N-way sequence race*: the original kernel against
+/// one transformed candidate per pass sequence (seeded per device profile
+/// from `grover_devsim::candidate_sequences`, or overridden via
+/// [`Tuner::sequences`]). Every race runs as one *measurement plan*: a
+/// list of jobs, each executing one kernel once and feeding its event
+/// stream to a fresh model of every device that races it. A kernel's
+/// outputs and access stream do not depend on the device, so
+/// [`Tuner::tune_all`] executes each distinct kernel once for all its
+/// devices, and every model sees exactly the events it would see alone.
+/// The fastest candidate on a device becomes the transformed side of that
+/// device's decision, and its sequence is recorded in
+/// [`Decision::sequence`].
 ///
 /// # Hardening
 ///
-/// The tune/launch path degrades gracefully: a panic in either race thread
-/// is caught ([`TuneError::Panicked`] / [`FallbackReason::Panicked`]), each
-/// measurement runs under `limits` (instruction budget + optional
-/// wall-clock deadline), transient failures are retried per `retry`, and —
-/// with `verify_outputs` on — both versions are re-run on the workload and
-/// their output buffers bit-compared. Any failure or mismatch of the
-/// *transformed* kernel demotes the decision to the original with a
-/// [`FallbackReason`], so [`Tuner::best_kernel`] can never return a broken
-/// kernel; only a failure of the *original* kernel is a [`TuneError`].
+/// The tune/launch path degrades gracefully: a panic in any job is caught
+/// ([`TuneError::Panicked`] / [`FallbackReason::Panicked`]), each
+/// execution runs under `limits` (instruction budget + optional wall-clock
+/// deadline), transient failures are retried per `retry`, and — with
+/// `verify_outputs` on — the output buffers of the original's and the
+/// winner's race executions are bit-compared. A failed job fails every
+/// device it feeds, exactly as one failure per device would. Any failure
+/// or mismatch of the *transformed* kernel demotes the decision to the
+/// original with a [`FallbackReason`], so [`Tuner::best_kernel`] can never
+/// return a broken kernel; only a failure of the *original* kernel is a
+/// [`TuneError`].
 pub struct Tuner {
-    /// Execution backend for every launch this tuner performs (race
-    /// measurements and the differential-output guard alike). Defaults
+    /// Execution backend for every launch this tuner performs. Defaults
     /// to the production engine ([`Backend::default`]); differential
     /// tests set [`Backend::Interp`] to get the reference decision.
     pub backend: Backend,
-    /// Per-measurement execution limits (instruction budget and optional
-    /// wall-clock deadline, enforced by the runtime watchdog).
+    /// Per-execution limits (instruction budget and optional wall-clock
+    /// deadline, enforced by the runtime watchdog). A shared execution in
+    /// [`Tuner::tune_all`] simulates every device model it feeds within
+    /// one deadline.
     pub limits: Limits,
     /// Retry policy for transient measurement failures.
     pub retry: RetryPolicy,
-    /// Run the differential-output guard after measuring (default on).
-    /// The guard re-runs both versions serially on fresh workload
-    /// instantiations, so the workload factory must be deterministic —
-    /// which meaningful tuning requires anyway.
+    /// Run the differential-output guard (default on): bit-compare every
+    /// output buffer of the original's race execution against the
+    /// winning candidate's. The guard reuses the race's own final
+    /// contexts, so it costs no launch.
     pub verify_outputs: bool,
     /// Restrict the Grover transform to these `__local` buffers
     /// (`None` = remove all).
@@ -382,11 +389,13 @@ pub struct Tuner {
     /// `grover_devsim::candidate_sequences`; an explicit list (e.g. the
     /// CLI's `--passes`) restricts the race to exactly those sequences.
     pub sequences: Option<Vec<String>>,
-    /// Telemetry sink. Each uncached [`Tuner::tune`] records one
-    /// `tune` span (both race measurements appear as nested `launch`
-    /// spans), `retry`/`measure`/`verify` events, and a final `decision`
-    /// event; cache hits record a `decision` event with `cached: true`.
-    /// Defaults to the no-op recorder: nothing is constructed or stored.
+    /// Telemetry sink. Each measurement plan records one `tune` span:
+    /// every execution appears as a nested `launch` span naming the
+    /// `devices` it fed, plus `retry` events, one `measure`, `verify` and
+    /// `decision` event per device, and the span's `devices` attribute
+    /// lists every device raced. Cache hits record a `decision` event
+    /// with `cached: true`. Defaults to the no-op recorder: nothing is
+    /// constructed or stored.
     pub recorder: Arc<dyn Recorder>,
     /// Parent span for the `tune` spans this tuner records. A serving
     /// layer that traces requests sets this to the request's span so the
@@ -426,6 +435,27 @@ struct Candidate {
     report: GroverReport,
 }
 
+/// A device whose decision needs a measured race.
+struct Racer<'d> {
+    /// Position of the device in the caller's list.
+    slot: usize,
+    device: &'d str,
+    /// The device's candidates, as indices into the shared candidate
+    /// list, in its seeded order.
+    candidates: Vec<usize>,
+    /// The model's verdict when it abstained, graded against the race.
+    abstained: Option<Prediction>,
+}
+
+/// How a device's tune resolves before any measurement.
+enum Prep {
+    /// Answered without a race: a cached or predicted decision.
+    Done(Decision),
+    /// Needs a race over these candidates (indices into the shared
+    /// candidate list); carries the abstained prediction, if any.
+    Race(Vec<usize>, Option<Prediction>),
+}
+
 impl Default for Tuner {
     fn default() -> Tuner {
         Tuner::new()
@@ -463,7 +493,7 @@ impl Tuner {
         self.cache.len()
     }
 
-    /// Number of race measurements this tuner has actually executed.
+    /// Number of measured decisions this tuner has raced, one per device.
     /// A cache hit serves the stored [`Decision`] without racing, so this
     /// counter is how callers (tests, the `grover-serve` metrics) prove
     /// that repeated tunes do not re-measure.
@@ -471,12 +501,16 @@ impl Tuner {
         self.races
     }
 
-    /// Number of individual kernel launches this tuner has executed —
-    /// race measurements, retries, and differential-output verification
-    /// runs all count. A predicted decision performs none; callers (the
-    /// `grover-serve` `grover_serve_launches_total` metric, the
-    /// `serve_load --predict` scenario) use this to *prove* the
-    /// zero-launch property rather than assert it.
+    /// Number of kernel executions this tuner has performed: one per
+    /// measurement-plan job, plus one per retry. A shared execution counts
+    /// once however many device models it feeds, and the
+    /// differential-output guard adds none (it compares the race's own
+    /// outputs). With the seeded sets a [`Tuner::tune`] costs 4 and a
+    /// [`Tuner::tune_all`] over the six paper devices 5. A predicted
+    /// decision performs none; callers (the `grover-serve`
+    /// `grover_serve_launches_total` metric, the `serve_load --predict`
+    /// scenario) use this to *prove* the zero-launch property rather than
+    /// assert it.
     pub fn launches_run(&self) -> u64 {
         self.launches
     }
@@ -509,19 +543,117 @@ impl Tuner {
         device: &str,
         workload: &Workload,
     ) -> Result<Decision, TuneError> {
+        match self.tune_all(kernel, &[device], workload).pop() {
+            Some((_, result)) => result,
+            None => Err(TuneError::Internal("tune_all answered no device".into())),
+        }
+    }
+
+    /// Tune across several devices at once (the per-platform specialisation
+    /// table the paper's future work describes). Results come back in
+    /// `devices` order, each what a fresh [`Tuner::tune`] on that device
+    /// would return.
+    ///
+    /// Every device that needs a measurement (neither cached nor
+    /// predicted) races in one plan: the original and each distinct
+    /// candidate sequence execute once, feeding a model of every device
+    /// that races them. With the seeded sets, the six paper devices cost 5
+    /// executions: the original and the 2 sequences CPUs and GPUs share
+    /// for all six, and one class-specific sequence per class.
+    pub fn tune_all(
+        &mut self,
+        kernel: &Function,
+        devices: &[&str],
+        workload: &Workload,
+    ) -> Vec<(String, Result<Decision, TuneError>)> {
+        let mut built: Vec<Candidate> = Vec::new();
+        let mut results: Vec<Option<Result<Decision, TuneError>>> = vec![None; devices.len()];
+        let mut racers: Vec<Racer> = Vec::new();
+        for (slot, &device) in devices.iter().enumerate() {
+            // A repeated device is answered from the cache after the race.
+            if racers.iter().any(|r| r.device == device) {
+                continue;
+            }
+            match self.prepare(kernel, device, workload, &mut built) {
+                Ok(Prep::Done(d)) => results[slot] = Some(Ok(d)),
+                Ok(Prep::Race(candidates, abstained)) => racers.push(Racer {
+                    slot,
+                    device,
+                    candidates,
+                    abstained,
+                }),
+                Err(e) => results[slot] = Some(Err(e)),
+            }
+        }
+        if !racers.is_empty() {
+            let decided = self.race(kernel, &built, &racers, workload);
+            for (r, d) in racers.iter().zip(decided) {
+                if let (Some(p), Ok(d)) = (&r.abstained, &d) {
+                    let rec = &*self.recorder;
+                    if grade_prediction(p, d.choice, &kernel.name, r.device, rec, self.parent) {
+                        self.predict_wrong += 1;
+                    }
+                }
+                results[r.slot] = Some(d);
+            }
+        }
+        devices
+            .iter()
+            .zip(results)
+            .map(|(&device, r)| {
+                let r = r.unwrap_or_else(|| self.tune(kernel, device, workload));
+                (device.to_string(), r)
+            })
+            .collect()
+    }
+
+    /// The kernel version the tuner recommends for `device`.
+    ///
+    /// Guaranteed to be runnable: any failure or output divergence of the
+    /// transformed version during [`Tuner::tune`] demotes the decision, so
+    /// this returns the original kernel in every fallback case.
+    pub fn best_kernel(
+        &mut self,
+        kernel: &Function,
+        device: &str,
+        workload: &Workload,
+    ) -> Result<Function, TuneError> {
+        let d = self.tune(kernel, device, workload)?;
+        Ok(match d.choice {
+            Verdict::WithoutLocalMemory => self
+                .transformed
+                .get(&(kernel.name.clone(), device.to_string()))
+                .cloned()
+                .ok_or_else(|| {
+                    TuneError::Internal("transformed kernel not cached by tune()".into())
+                })?,
+            _ => kernel.clone(),
+        })
+    }
+
+    /// Everything a tune does before measuring: the cache, the device
+    /// name, the candidate set and — with a model — the predict gate.
+    /// Candidates are built into `built`, shared across devices.
+    fn prepare(
+        &mut self,
+        kernel: &Function,
+        device: &str,
+        workload: &Workload,
+        built: &mut Vec<Candidate>,
+    ) -> Result<Prep, TuneError> {
         let key = (kernel.name.clone(), device.to_string());
         if let Some(d) = self.cache.get(&key) {
             if self.recorder.enabled() {
                 self.recorder
                     .event("decision", self.parent, &decision_attrs(&key.0, d, true));
             }
-            return Ok(d.clone());
+            return Ok(Prep::Done(d.clone()));
         }
         // Fail fast on a bad device name before any transform work.
         if !is_device(device) {
             return Err(TuneError::UnknownDevice(device.to_string()));
         }
-        let candidates = self.build_candidates(kernel, device)?;
+        let candidates = self.build_candidates(kernel, device, built)?;
 
         // With a model, consult it before spending any launch. A
         // confident answer is served directly (zero launches); an
@@ -529,19 +661,13 @@ impl Tuner {
         // then compared against the abstained verdict.
         let mut abstained: Option<Prediction> = None;
         if let Some(model) = self.predictor.clone() {
-            match self.predict_decision(&model, kernel, device, &candidates, workload) {
-                (Some(d), _) => return Ok(d),
+            let default = &built[candidates[0]];
+            match self.predict_decision(&model, kernel, device, default, workload) {
+                (Some(d), _) => return Ok(Prep::Done(d)),
                 (None, p) => abstained = p,
             }
         }
-        let d = self.tune_candidates(kernel, candidates, device, workload)?;
-        if let Some(p) = abstained {
-            let rec = &*self.recorder;
-            if grade_prediction(&p, d.choice, &kernel.name, device, rec, self.parent) {
-                self.predict_wrong += 1;
-            }
-        }
-        Ok(d)
+        Ok(Prep::Race(candidates, abstained))
     }
 
     /// The model half of a tune: extract features (static, no launch),
@@ -554,7 +680,7 @@ impl Tuner {
         model: &PredictModel,
         kernel: &Function,
         device: &str,
-        candidates: &[Candidate],
+        default: &Candidate,
         workload: &Workload,
     ) -> (Option<Decision>, Option<Prediction>) {
         // Geometry comes from one workload instantiation; building a
@@ -576,18 +702,17 @@ impl Tuner {
                 // The default-sequence candidate stands in as the
                 // transformed side; a predicted decision names it so
                 // `best_kernel` resolves without a race.
-                let winner = &candidates[0];
                 self.transformed
                     .entry((kernel.name.clone(), device.to_string()))
-                    .or_insert_with(|| winner.kernel.clone());
+                    .or_insert_with(|| default.kernel.clone());
                 let d = Decision {
                     device: device.to_string(),
                     choice: p.verdict,
-                    sequence: winner.sequence.clone(),
+                    sequence: default.sequence.clone(),
                     np: p.np_est,
                     cycles_with: 0,
                     cycles_without: 0,
-                    report: winner.report.clone(),
+                    report: default.report.clone(),
                     fallback: None,
                     predicted: Some(p.confidence),
                 };
@@ -602,16 +727,18 @@ impl Tuner {
         }
     }
 
-    /// Build one transformed candidate per sequence spec: parse + validate
-    /// the sequence, apply it to a fresh clone, refuse kernels with nothing
-    /// to disable. Every candidate set starts from the same pristine
+    /// The candidates `device` races, as indices into `built`: parse +
+    /// validate each sequence, and apply it to a fresh clone unless an
+    /// earlier device already built that spec. Refuses kernels with
+    /// nothing to disable. Every candidate starts from the same pristine
     /// kernel, so all candidates report the same removals and differ only
     /// in cleanup.
     fn build_candidates(
         &self,
         kernel: &Function,
         device: &str,
-    ) -> Result<Vec<Candidate>, TuneError> {
+        built: &mut Vec<Candidate>,
+    ) -> Result<Vec<usize>, TuneError> {
         let specs: Vec<String> = match &self.sequences {
             Some(s) => s.clone(),
             None => grover_devsim::candidate_sequences(device)
@@ -625,248 +752,170 @@ impl Tuner {
             ));
         }
         let options = self.grover_options();
-        let mut out = Vec::with_capacity(specs.len());
-        for spec in specs {
-            let seq = Sequence::parse(&spec)
-                .map_err(|e| TuneError::InvalidSequence(format!("`{spec}`: {e}")))?;
-            let mut k = kernel.clone();
-            let pr = apply_sequence(&mut k, &seq, &options);
-            if pr.report.removed_count() == 0 {
-                return Err(TuneError::NothingToDisable(pr.report));
-            }
-            out.push(Candidate {
-                sequence: seq.spec(),
-                kernel: k,
-                report: pr.report,
-            });
-        }
-        Ok(out)
+        specs
+            .iter()
+            .map(|spec| {
+                let seq = Sequence::parse(spec)
+                    .map_err(|e| TuneError::InvalidSequence(format!("`{spec}`: {e}")))?;
+                let sequence = seq.spec();
+                if let Some(i) = built.iter().position(|c| c.sequence == sequence) {
+                    return Ok(i);
+                }
+                let mut k = kernel.clone();
+                let pr = apply_sequence(&mut k, &seq, &options);
+                if pr.report.removed_count() == 0 {
+                    return Err(TuneError::NothingToDisable(pr.report));
+                }
+                built.push(Candidate {
+                    sequence,
+                    kernel: k,
+                    report: pr.report,
+                });
+                Ok(built.len() - 1)
+            })
+            .collect()
     }
 
-    /// The telemetry shell around the race.
-    fn tune_candidates(
+    /// Race every device of `racers` in one measurement plan — the
+    /// original on every device, each distinct candidate of `built` on
+    /// every device that races it — inside one `tune` span, then decide
+    /// each device. Results come back in `racers` order.
+    fn race(
         &mut self,
         kernel: &Function,
-        candidates: Vec<Candidate>,
-        device: &str,
+        built: &[Candidate],
+        racers: &[Racer],
         workload: &Workload,
-    ) -> Result<Decision, TuneError> {
+    ) -> Vec<Result<Decision, TuneError>> {
+        // Job 0 is the original on every device; each candidate becomes
+        // one job on the devices that race it. `seats[r]` is where racer
+        // `r` reads each of its candidates: (job, position in the job's
+        // device list).
+        let mut jobs = vec![Job {
+            kernel,
+            sequence: None,
+            devices: racers.iter().map(|r| r.device).collect(),
+        }];
+        let mut job_of: Vec<Option<usize>> = vec![None; built.len()];
+        let mut seats: Vec<Vec<(usize, usize)>> = Vec::with_capacity(racers.len());
+        for r in racers {
+            let mut seat = Vec::with_capacity(r.candidates.len());
+            for &c in &r.candidates {
+                let j = *job_of[c].get_or_insert_with(|| {
+                    jobs.push(Job {
+                        kernel: &built[c].kernel,
+                        sequence: Some(&built[c].sequence),
+                        devices: Vec::new(),
+                    });
+                    jobs.len() - 1
+                });
+                let devices = &mut jobs[j].devices;
+                let pos = match devices.iter().position(|d| *d == r.device) {
+                    Some(p) => p,
+                    None => {
+                        devices.push(r.device);
+                        devices.len() - 1
+                    }
+                };
+                seat.push((j, pos));
+            }
+            seats.push(seat);
+        }
+
         let recorder = self.recorder.clone();
         let rec: &dyn Recorder = &*recorder;
         let span = rec.enabled().then(|| rec.span_start("tune", self.parent));
         if let Some(span) = span {
             rec.span_attr(span, "kernel", Value::from(kernel.name.as_str()));
-            rec.span_attr(span, "device", Value::from(device));
+            if let [only] = racers {
+                rec.span_attr(span, "device", Value::from(only.device));
+            }
+            rec.span_attr(span, "devices", Value::from(jobs[0].devices.join(";")));
             rec.span_attr(span, "backend", Value::from(self.backend.name()));
             rec.span_attr(span, "threshold", Value::from(SIMILARITY_THRESHOLD));
             rec.span_attr(span, "verify_outputs", Value::from(self.verify_outputs));
-            rec.span_attr(span, "candidates", Value::from(candidates.len()));
-            let seqs: Vec<&str> = candidates.iter().map(|c| c.sequence.as_str()).collect();
+            rec.span_attr(span, "candidates", Value::from(jobs.len() - 1));
+            let seqs: Vec<&str> = jobs[1..].iter().filter_map(|j| j.sequence).collect();
             rec.span_attr(span, "sequences", Value::from(seqs.join(";")));
         }
-        let result = self.race_candidates(kernel, &candidates, device, workload, span);
-        if let Some(span) = span {
-            match &result {
-                Ok(d) => {
-                    rec.event(
+        self.races += racers.len() as u64;
+        let outcomes = self.run_plan(&jobs, workload, span);
+
+        let mut decided = Vec::with_capacity(racers.len());
+        for (i, (r, seat)) in racers.iter().zip(&seats).enumerate() {
+            let with = original_on(&outcomes[0], i);
+            let cands = r
+                .candidates
+                .iter()
+                .zip(seat)
+                .map(|(&c, &(j, pos))| (&built[c], candidate_on(&outcomes[j], pos)))
+                .collect();
+            let d = self.decide(kernel, r.device, with, cands, span);
+            if let Some(span) = span {
+                match &d {
+                    Ok(d) => rec.event(
                         "decision",
                         Some(span),
                         &decision_attrs(&kernel.name, d, false),
-                    );
+                    ),
+                    Err(e) => rec.span_attr(span, "error", Value::from(e.to_string())),
                 }
-                Err(e) => rec.span_attr(span, "error", Value::from(e.to_string())),
             }
+            decided.push(d);
+        }
+        if let Some(span) = span {
             rec.span_end(span);
         }
-        result
+        decided
     }
 
-    /// The uncached measurement body: race the original against every
-    /// candidate, retry transients, verify the winner, decide. `span` is
-    /// the enclosing `tune` span (`None` when the recorder is disabled).
-    fn race_candidates(
+    /// One device's decision from its race: the original's cycles and
+    /// outputs, and each candidate's. The fastest candidate that measured
+    /// wins (earliest on ties, so the default sequence — candidate 0 of
+    /// the seeded sets — is preferred); the differential-output guard then
+    /// bit-compares its outputs with the original's.
+    fn decide(
         &mut self,
         kernel: &Function,
-        candidates: &[Candidate],
         device: &str,
-        workload: &Workload,
+        with: Result<Reading<'_>, TuneError>,
+        cands: Vec<(&Candidate, Result<Reading<'_>, FallbackReason>)>,
         span: Option<SpanId>,
     ) -> Result<Decision, TuneError> {
-        let recorder = self.recorder.clone();
-        let rec: &dyn Recorder = &*recorder;
-        let backend = self.backend;
-        let limits = self.limits;
-        let retry = self.retry;
-        let profile_ops = self.profile_ops;
-        self.races += 1;
-
-        // Race the original plus every candidate: the original on this
-        // thread, each candidate on its own scoped thread. The workloads
-        // are instantiated up front on this thread (the factory need not be
-        // `Sync`); each measurement then runs fully independently. Each is
-        // wrapped in `catch_unwind`, so a panicking measurement is isolated
-        // to its race thread and converted instead of aborting the tuner.
-        let w_with = workload.instantiate();
-        let w_cands: Vec<_> = candidates.iter().map(|_| workload.instantiate()).collect();
-        let (res_with, cand_results) = std::thread::scope(|s| {
-            let handles: Vec<_> = candidates
-                .iter()
-                .zip(w_cands)
-                .map(|(c, w)| {
-                    let ck = &c.kernel;
-                    s.spawn(move || {
-                        simulate_caught(ck, device, w, backend, &limits, rec, span, profile_ops)
-                    })
-                })
-                .collect();
-            let with = simulate_caught(
-                kernel,
-                device,
-                w_with,
-                backend,
-                &limits,
-                rec,
-                span,
-                profile_ops,
-            );
-            // `simulate_caught` already catches panics; `join` only fails if
-            // one escapes the isolation (a bug) — still convert, never abort.
-            let cands: Vec<Result<u64, MeasureFailure>> = handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|p| {
-                        Err(MeasureFailure::Panicked(panic_message(p.as_ref())))
-                    })
-                })
-                .collect();
-            (with, cands)
-        });
-        // Every simulate above was one launch: the original plus each
-        // candidate.
-        self.launches += 1 + candidates.len() as u64;
-
-        // Transient failures (panics, deadline overruns) are retried
-        // serially on fresh workload instantiations.
-        let attempts_with = Cell::new(1u32);
-        let res_with = retry_measure(res_with, retry, || {
-            self.launches += 1;
-            attempts_with.set(attempts_with.get() + 1);
-            if rec.enabled() {
-                rec.event(
-                    "retry",
-                    span,
-                    &retry_attrs("original", None, attempts_with.get()),
-                );
-            }
-            simulate_caught(
-                kernel,
-                device,
-                workload.instantiate(),
-                backend,
-                &limits,
-                rec,
-                span,
-                profile_ops,
-            )
-        });
-        let mut cand_cycles: Vec<Result<u64, MeasureFailure>> =
-            Vec::with_capacity(candidates.len());
-        for (c, first) in candidates.iter().zip(cand_results) {
-            let attempts = Cell::new(1u32);
-            let res = retry_measure(first, retry, || {
-                self.launches += 1;
-                attempts.set(attempts.get() + 1);
-                if rec.enabled() {
-                    rec.event(
-                        "retry",
-                        span,
-                        &retry_attrs("transformed", Some(&c.sequence), attempts.get()),
-                    );
-                }
-                simulate_caught(
-                    &c.kernel,
-                    device,
-                    workload.instantiate(),
-                    backend,
-                    &limits,
-                    rec,
-                    span,
-                    profile_ops,
-                )
-            });
-            if rec.enabled() {
-                rec.event(
-                    "measure",
-                    span,
-                    &measure_attrs("transformed", Some(&c.sequence), &res, attempts.get()),
-                );
-            }
-            cand_cycles.push(res);
-        }
-        if rec.enabled() {
-            rec.event(
-                "measure",
-                span,
-                &measure_attrs("original", None, &res_with, attempts_with.get()),
-            );
-        }
-
         // The original kernel must measure: without a working baseline
         // there is nothing to fall back to.
-        let cycles_with = res_with.map_err(fatal)?;
+        let (cycles_with, reference) = with?;
 
-        // Winner: the fastest candidate that measured (earliest wins ties,
-        // so with equal cycles the default sequence is preferred — it is
-        // always candidate 0 of the seeded sets).
         let mut best: Option<(usize, u64)> = None;
-        for (i, r) in cand_cycles.iter().enumerate() {
-            if let Ok(c) = r {
+        for (i, (_, r)) in cands.iter().enumerate() {
+            if let Ok((c, _)) = r {
                 if best.is_none_or(|(_, bc)| *c < bc) {
                     best = Some((i, *c));
                 }
             }
         }
-
-        let mut fallback: Option<FallbackReason> = None;
-        let (winner_idx, cycles_without) = match best {
-            Some((i, c)) => (i, c),
-            None => {
-                // Every candidate failed: demote, reporting the first
-                // failure (candidate 0 is the default sequence).
-                let first = cand_cycles
-                    .into_iter()
-                    .next()
-                    .unwrap_or(Err(MeasureFailure::Panicked("no candidates".into())));
-                fallback = Some(match first {
-                    Err(f) => reason_of(f),
-                    Ok(_) => unreachable!("best is None but a candidate measured"),
-                });
-                (0, 0)
-            }
+        let (winner_idx, cycles_without, mut fallback) = match best {
+            Some((i, c)) => (i, c, None),
+            // Every candidate failed: demote, reporting the first failure
+            // (candidate 0 is the default sequence).
+            None => (0, 0, cands[0].1.as_ref().err().cloned()),
         };
-        let winner = &candidates[winner_idx];
+        let (winner, winner_run) = &cands[winner_idx];
 
-        // Differential-output guard: re-run the original and the winning
-        // candidate serially on fresh instantiations and bit-compare every
-        // buffer. A reference failure is fatal; a winner failure or any
-        // differing bit demotes the whole decision to the original —
-        // conservative by design: a search that produced even one
-        // wrong-output candidate is not trusted for this kernel.
-        if fallback.is_none() && self.verify_outputs {
-            self.launches += 1;
-            let reference = run_for_outputs(kernel, workload, &limits, backend).map_err(fatal)?;
-            self.launches += 1;
-            match run_for_outputs(&winner.kernel, workload, &limits, backend) {
-                Err(f) => fallback = Some(reason_of(f)),
-                Ok(candidate) => {
-                    if let Some((buffer, index)) = first_bit_mismatch(&reference, &candidate) {
-                        fallback = Some(FallbackReason::OutputMismatch { buffer, index });
-                    }
-                }
+        // Differential-output guard: any differing bit between the
+        // original's and the winner's race outputs demotes the whole
+        // decision to the original — conservative by design: a search
+        // that produced even one wrong-output candidate is not trusted for
+        // this kernel.
+        if let (None, true, Ok((_, outputs))) = (&fallback, self.verify_outputs, winner_run) {
+            if let Some((buffer, index)) = first_bit_mismatch(reference, outputs) {
+                fallback = Some(FallbackReason::OutputMismatch { buffer, index });
             }
+            let rec = &*self.recorder;
             if rec.enabled() {
                 let mut attrs = vec![
                     ("ok", Value::from(fallback.is_none())),
+                    ("device", Value::from(device)),
                     ("sequence", Value::from(winner.sequence.as_str())),
                 ];
                 if let Some(reason) = &fallback {
@@ -905,42 +954,97 @@ impl Tuner {
         Ok(d)
     }
 
-    /// The kernel version the tuner recommends for `device`.
+    /// The plan runner: execute every job and return each job's outcome
+    /// after retries, in `jobs` order.
     ///
-    /// Guaranteed to be runnable: any failure or output divergence of the
-    /// transformed version during [`Tuner::tune`] demotes the decision, so
-    /// this returns the original kernel in every fallback case.
-    pub fn best_kernel(
+    /// Workloads are instantiated up front on this thread (the factory
+    /// need not be `Sync`). Jobs then run on at most
+    /// `available_parallelism()` scoped workers that pull from a shared
+    /// index — this thread is one of them. Each execution is
+    /// panic-isolated, so a panicking job fails alone. Transient failures
+    /// are retried serially on fresh instantiations per [`Tuner::retry`];
+    /// a retried job re-runs for every device it feeds. Records one
+    /// `retry` event per retry and one `measure` event per (job, device).
+    fn run_plan(
         &mut self,
-        kernel: &Function,
-        device: &str,
+        jobs: &[Job],
         workload: &Workload,
-    ) -> Result<Function, TuneError> {
-        let d = self.tune(kernel, device, workload)?;
-        Ok(match d.choice {
-            Verdict::WithoutLocalMemory => self
-                .transformed
-                .get(&(kernel.name.clone(), device.to_string()))
-                .cloned()
-                .ok_or_else(|| {
-                    TuneError::Internal("transformed kernel not cached by tune()".into())
-                })?,
-            _ => kernel.clone(),
-        })
-    }
-
-    /// Tune across several devices at once (the per-platform specialisation
-    /// table the paper's future work describes).
-    pub fn tune_all(
-        &mut self,
-        kernel: &Function,
-        devices: &[&str],
-        workload: &Workload,
-    ) -> Vec<(String, Result<Decision, TuneError>)> {
-        devices
+        span: Option<SpanId>,
+    ) -> Vec<Result<Measured, MeasureFailure>> {
+        let recorder = self.recorder.clone();
+        let rec: &dyn Recorder = &*recorder;
+        let exec = Exec {
+            backend: self.backend,
+            limits: self.limits,
+            rec,
+            parent: span,
+            profile_ops: self.profile_ops,
+        };
+        let inputs: Vec<Mutex<Option<Instance>>> = jobs
             .iter()
-            .map(|&d| (d.to_string(), self.tune(kernel, d, workload)))
-            .collect()
+            .map(|_| Mutex::new(Some(workload.instantiate())))
+            .collect();
+        let firsts: Vec<Mutex<Option<Result<Measured, MeasureFailure>>>> =
+            jobs.iter().map(|_| Mutex::new(None)).collect();
+        let next = AtomicUsize::new(0);
+        // A poisoned slot still holds valid data: each update is one
+        // `take` or one store, so the guards are recovered, not unwrapped.
+        let work = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = jobs.get(i) else { break };
+            let input = inputs[i].lock().unwrap_or_else(|e| e.into_inner()).take();
+            let result = match input {
+                Some(input) => exec.run(job, input),
+                None => Err(MeasureFailure::Panicked("job input taken twice".into())),
+            };
+            *firsts[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
+        };
+        let workers = std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(jobs.len());
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+            work();
+            // `exec.run` already catches panics; a worker dies only if one
+            // escapes the isolation (a bug). Its unfinished job reads as
+            // a panic below — converted, never propagated.
+            for h in handles {
+                let _ = h.join();
+            }
+        });
+        self.launches += jobs.len() as u64;
+
+        let mut outcomes = Vec::with_capacity(jobs.len());
+        for (job, first) in jobs.iter().zip(firsts) {
+            let first = first
+                .into_inner()
+                .unwrap_or_else(|e| e.into_inner())
+                .unwrap_or_else(|| Err(MeasureFailure::Panicked("measurement worker died".into())));
+            let mut attempts = 1u32;
+            let result = retry_measure(first, self.retry, || {
+                attempts += 1;
+                if rec.enabled() {
+                    rec.event(
+                        "retry",
+                        span,
+                        &job.attrs(vec![("attempt", Value::from(attempts))]),
+                    );
+                }
+                exec.run(job, workload.instantiate())
+            });
+            self.launches += u64::from(attempts - 1);
+            if rec.enabled() {
+                for (pos, device) in job.devices.iter().enumerate() {
+                    rec.event(
+                        "measure",
+                        span,
+                        &measure_attrs(job, device, pos, &result, attempts),
+                    );
+                }
+            }
+            outcomes.push(result);
+        }
+        outcomes
     }
 
     fn grover_options(&self) -> GroverOptions {
@@ -951,9 +1055,180 @@ impl Tuner {
     }
 }
 
-/// A single measurement failure, before it is classified as fatal
-/// (original kernel → [`TuneError`]) or demoting (transformed kernel →
-/// [`FallbackReason`]).
+/// One execution of a measurement plan: `kernel` runs once and its event
+/// stream feeds a fresh model of every device in `devices`.
+struct Job<'a> {
+    kernel: &'a Function,
+    /// The candidate's sequence spec; `None` for the original kernel.
+    sequence: Option<&'a str>,
+    devices: Vec<&'a str>,
+}
+
+impl Job<'_> {
+    /// `extra` plus the attributes naming this job: `version`, the
+    /// `sequence` of a candidate, and the `devices` it feeds.
+    fn attrs(&self, mut extra: Vec<(&'static str, Value)>) -> Vec<(&'static str, Value)> {
+        let version = if self.sequence.is_some() {
+            "transformed"
+        } else {
+            "original"
+        };
+        extra.push(("version", Value::from(version)));
+        if let Some(seq) = self.sequence {
+            extra.push(("sequence", Value::from(seq)));
+        }
+        extra.push(("devices", Value::from(self.devices.join(";"))));
+        extra
+    }
+}
+
+/// What a device reads off one job: its model's cycles and the job's
+/// final context.
+type Reading<'c> = (u64, &'c Context);
+
+/// A workload instantiation: context, arguments and geometry.
+type Instance = (Context, Vec<ArgValue>, NdRange);
+
+/// What one successful execution produced.
+struct Measured {
+    /// Simulated cycles of each device model, in [`Job::devices`] order.
+    cycles: Vec<u64>,
+    /// The final context: the execution's output buffers.
+    ctx: Context,
+}
+
+/// The launch settings every execution of a plan shares.
+struct Exec<'a> {
+    backend: Backend,
+    limits: Limits,
+    rec: &'a dyn Recorder,
+    parent: Option<SpanId>,
+    profile_ops: bool,
+}
+
+impl Exec<'_> {
+    /// Execute `job` once on `input`, with panic isolation: a panic
+    /// anywhere (engine, device model, injected fault) becomes a
+    /// [`MeasureFailure::Panicked`] instead of unwinding into the plan.
+    fn run(&self, job: &Job, input: Instance) -> Result<Measured, MeasureFailure> {
+        catch_unwind(AssertUnwindSafe(|| self.execute(job, input)))
+            .unwrap_or_else(|p| Err(MeasureFailure::Panicked(panic_message(p.as_ref()))))
+    }
+
+    fn execute(&self, job: &Job, input: Instance) -> Result<Measured, MeasureFailure> {
+        // Device names are validated before any measurement; a lookup
+        // failure here means the registry changed under us.
+        let mut models = job
+            .devices
+            .iter()
+            .map(|d| {
+                Device::by_name(d).ok_or_else(|| {
+                    MeasureFailure::Exec(ExecError::Internal(format!(
+                        "device `{d}` disappeared mid-tune"
+                    )))
+                })
+            })
+            .collect::<Result<Vec<Device>, _>>()?;
+        let (mut ctx, args, nd) = input;
+        let tags = if self.rec.enabled() {
+            vec![("devices", Value::from(job.devices.join(";")))]
+        } else {
+            Vec::new()
+        };
+        // With profiling on, the launch span gains a `profile` event; the
+        // aggregate itself is not needed here, the recorder carries it.
+        let mut profile = None;
+        enqueue_observed(
+            &mut ctx,
+            job.kernel,
+            &args,
+            &nd,
+            &mut Tee(&mut models),
+            &self.limits,
+            self.backend,
+            self.rec,
+            self.parent,
+            &tags,
+            self.profile_ops.then_some(&mut profile),
+        )
+        .map_err(MeasureFailure::Exec)?;
+        Ok(Measured {
+            cycles: models.iter_mut().map(|m| m.finish().cycles).collect(),
+            ctx,
+        })
+    }
+}
+
+/// Forwards every trace callback to each device model of a job, so one
+/// execution drives them all.
+struct Tee<'a>(&'a mut [Device]);
+
+impl TraceSink for Tee<'_> {
+    fn access(&mut self, ev: &AccessEvent) {
+        for m in self.0.iter_mut() {
+            m.access(ev);
+        }
+    }
+
+    fn barrier(&mut self, group: u32, items: u32) {
+        for m in self.0.iter_mut() {
+            m.barrier(group, items);
+        }
+    }
+
+    fn workitem_done(&mut self, group: u32, local: u32, instructions: u64) {
+        for m in self.0.iter_mut() {
+            m.workitem_done(group, local, instructions);
+        }
+    }
+
+    fn workgroup_done(&mut self, group: u32) {
+        for m in self.0.iter_mut() {
+            m.workgroup_done(group);
+        }
+    }
+}
+
+/// The original's job as the device at `pos` reads it: cycles and
+/// outputs, or — with no working baseline — a fatal [`TuneError`].
+fn original_on(
+    outcome: &Result<Measured, MeasureFailure>,
+    pos: usize,
+) -> Result<Reading<'_>, TuneError> {
+    match outcome {
+        Ok(m) => Ok((m.cycles[pos], &m.ctx)),
+        Err(f) => Err(match f {
+            MeasureFailure::Panicked(m) => TuneError::Panicked(m.clone()),
+            MeasureFailure::Exec(ExecError::WorkerPanic { message, .. }) => {
+                TuneError::Panicked(message.clone())
+            }
+            MeasureFailure::Exec(ExecError::DeadlineExceeded) => TuneError::Deadline,
+            MeasureFailure::Exec(e) => TuneError::Execution(e.to_string()),
+        }),
+    }
+}
+
+/// A candidate's job as the device at `pos` reads it: cycles and outputs,
+/// or the [`FallbackReason`] that demotes the device.
+fn candidate_on(
+    outcome: &Result<Measured, MeasureFailure>,
+    pos: usize,
+) -> Result<Reading<'_>, FallbackReason> {
+    match outcome {
+        Ok(m) => Ok((m.cycles[pos], &m.ctx)),
+        Err(f) => Err(match f {
+            MeasureFailure::Panicked(m) => FallbackReason::Panicked(m.clone()),
+            MeasureFailure::Exec(ExecError::WorkerPanic { message, .. }) => {
+                FallbackReason::Panicked(message.clone())
+            }
+            MeasureFailure::Exec(ExecError::DeadlineExceeded) => FallbackReason::DeadlineExceeded,
+            MeasureFailure::Exec(e) => FallbackReason::ExecFailed(e.to_string()),
+        }),
+    }
+}
+
+/// A single execution failure, before a device reads it as fatal
+/// ([`original_on`]) or demoting ([`candidate_on`]).
 enum MeasureFailure {
     Exec(ExecError),
     Panicked(String),
@@ -973,28 +1248,6 @@ impl MeasureFailure {
     }
 }
 
-fn fatal(f: MeasureFailure) -> TuneError {
-    match f {
-        MeasureFailure::Panicked(m) => TuneError::Panicked(m),
-        MeasureFailure::Exec(ExecError::WorkerPanic { message, .. }) => {
-            TuneError::Panicked(message)
-        }
-        MeasureFailure::Exec(ExecError::DeadlineExceeded) => TuneError::Deadline,
-        MeasureFailure::Exec(e) => TuneError::Execution(e.to_string()),
-    }
-}
-
-fn reason_of(f: MeasureFailure) -> FallbackReason {
-    match f {
-        MeasureFailure::Panicked(m) => FallbackReason::Panicked(m),
-        MeasureFailure::Exec(ExecError::WorkerPanic { message, .. }) => {
-            FallbackReason::Panicked(message)
-        }
-        MeasureFailure::Exec(ExecError::DeadlineExceeded) => FallbackReason::DeadlineExceeded,
-        MeasureFailure::Exec(e) => FallbackReason::ExecFailed(e.to_string()),
-    }
-}
-
 /// `(kind, detail)` tags of a measurement failure, matching the
 /// [`FallbackReason::kind`] vocabulary.
 fn failure_tag(f: &MeasureFailure) -> (&'static str, String) {
@@ -1008,38 +1261,22 @@ fn failure_tag(f: &MeasureFailure) -> (&'static str, String) {
     }
 }
 
-fn retry_attrs(
-    version: &'static str,
-    sequence: Option<&str>,
-    attempt: u32,
-) -> Vec<(&'static str, Value)> {
-    let mut attrs = vec![
-        ("version", Value::from(version)),
-        ("attempt", Value::from(attempt)),
-    ];
-    if let Some(seq) = sequence {
-        attrs.push(("sequence", Value::from(seq.to_string())));
-    }
-    attrs
-}
-
+/// The `measure` event of the device at `pos` of `job`.
 fn measure_attrs(
-    version: &'static str,
-    sequence: Option<&str>,
-    result: &Result<u64, MeasureFailure>,
+    job: &Job,
+    device: &str,
+    pos: usize,
+    result: &Result<Measured, MeasureFailure>,
     attempts: u32,
 ) -> Vec<(&'static str, Value)> {
-    let mut attrs = vec![
-        ("version", Value::from(version)),
+    let mut attrs = job.attrs(vec![
+        ("device", Value::from(device)),
         ("attempts", Value::from(attempts)),
-    ];
-    if let Some(seq) = sequence {
-        attrs.push(("sequence", Value::from(seq.to_string())));
-    }
+    ]);
     match result {
-        Ok(cycles) => {
+        Ok(m) => {
             attrs.push(("ok", Value::from(true)));
-            attrs.push(("cycles", Value::from(*cycles)));
+            attrs.push(("cycles", Value::from(m.cycles[pos])));
         }
         Err(f) => {
             let (kind, detail) = failure_tag(f);
@@ -1104,101 +1341,6 @@ fn retry_measure<T>(
         }
     }
     result
-}
-
-#[allow(clippy::too_many_arguments)]
-fn simulate(
-    kernel: &Function,
-    device: &str,
-    workload: (Context, Vec<ArgValue>, NdRange),
-    backend: Backend,
-    limits: &Limits,
-    rec: &dyn Recorder,
-    parent: Option<SpanId>,
-    profile_ops: bool,
-) -> Result<u64, MeasureFailure> {
-    // The device name is validated by `tune` before any measurement;
-    // a lookup failure here means the registry changed under us.
-    let mut dev = Device::by_name(device).ok_or_else(|| {
-        MeasureFailure::Exec(ExecError::Internal(format!(
-            "device `{device}` disappeared mid-tune"
-        )))
-    })?;
-    let (mut ctx, args, nd) = workload;
-    // With profiling on, the launch span gains a `profile` event; the
-    // aggregate itself is not needed here, the recorder carries it.
-    let mut profile = None;
-    enqueue_observed(
-        &mut ctx,
-        kernel,
-        &args,
-        &nd,
-        &mut dev,
-        limits,
-        backend,
-        rec,
-        parent,
-        profile_ops.then_some(&mut profile),
-    )
-    .map_err(MeasureFailure::Exec)?;
-    Ok(dev.finish().cycles)
-}
-
-/// [`simulate`] with panic isolation: a panic anywhere in the measurement
-/// (interpreter, device model, injected fault) becomes a
-/// [`MeasureFailure::Panicked`] instead of unwinding into the race scope.
-#[allow(clippy::too_many_arguments)]
-fn simulate_caught(
-    kernel: &Function,
-    device: &str,
-    workload: (Context, Vec<ArgValue>, NdRange),
-    backend: Backend,
-    limits: &Limits,
-    rec: &dyn Recorder,
-    parent: Option<SpanId>,
-    profile_ops: bool,
-) -> Result<u64, MeasureFailure> {
-    catch_unwind(AssertUnwindSafe(|| {
-        simulate(
-            kernel,
-            device,
-            workload,
-            backend,
-            limits,
-            rec,
-            parent,
-            profile_ops,
-        )
-    }))
-    .unwrap_or_else(|p| Err(MeasureFailure::Panicked(panic_message(p.as_ref()))))
-}
-
-/// Run `kernel` once, serially and untraced, returning the final context
-/// for the differential-output guard.
-fn run_for_outputs(
-    kernel: &Function,
-    workload: &Workload,
-    limits: &Limits,
-    backend: Backend,
-) -> Result<Context, MeasureFailure> {
-    let (mut ctx, args, nd) = workload.instantiate();
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        enqueue_with_backend(
-            &mut ctx,
-            kernel,
-            &args,
-            &nd,
-            &mut NullSink,
-            limits,
-            ExecPolicy::Serial,
-            backend,
-        )
-    }));
-    match run {
-        Ok(Ok(_)) => Ok(ctx),
-        Ok(Err(e)) => Err(MeasureFailure::Exec(e)),
-        Err(p) => Err(MeasureFailure::Panicked(panic_message(p.as_ref()))),
-    }
 }
 
 /// First bit-level difference between two contexts' buffers, as

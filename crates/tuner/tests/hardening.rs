@@ -8,6 +8,7 @@
 
 use std::time::Duration;
 
+use grover_devsim::ALL_DEVICES;
 use grover_frontend::{compile, BuildOptions};
 use grover_ir::Function;
 use grover_predict::Verdict;
@@ -46,7 +47,7 @@ fn workload() -> Workload {
     })
 }
 
-/// Acceptance: a panic inside the tuner race thread measuring the
+/// Acceptance: a panic inside the tuner job measuring the
 /// transformed kernel is isolated (no process abort), the decision is
 /// demoted with `FallbackReason::Panicked`, and `best_kernel` returns the
 /// original kernel.
@@ -285,4 +286,112 @@ fn fallback_decisions_are_cached() {
     let d2 = t.tune(&k, "SNB", &w).unwrap();
     assert!(matches!(d2.fallback, Some(FallbackReason::Panicked(_))));
     assert_eq!(d2.choice, Verdict::WithLocalMemory);
+}
+
+// ------------------------------------------------ faults in shared jobs
+//
+// `tune_all` runs each distinct kernel once for every device that races
+// it, so one fault hits every device a job feeds — exactly as one fault
+// per device would.
+
+/// A transformed-kernel panic on every attempt demotes every device of
+/// every shared job with `Panicked`: 5 jobs plus one retry of each of the
+/// 4 candidate jobs.
+#[test]
+fn shared_transformed_panic_demotes_every_device_it_feeds() {
+    let k = staged_kernel("hrd_all_panic");
+    let _guard = fault::inject(FaultPlan {
+        target: FaultTarget::transformed("hrd_all_panic"),
+        site: FaultSite::LaunchStart,
+        kind: FaultKind::Panic,
+        max_fires: 0,
+    });
+    let mut t = Tuner::new();
+    for (device, d) in t.tune_all(&k, &ALL_DEVICES, &workload()) {
+        let d = d.unwrap();
+        assert_eq!(d.choice, Verdict::WithLocalMemory, "{device}");
+        assert!(
+            matches!(d.fallback, Some(FallbackReason::Panicked(_))),
+            "{device}: {:?}",
+            d.fallback
+        );
+    }
+    assert_eq!(t.launches_run(), 5 + 4);
+}
+
+/// Corrupted stores are caught by comparing the race's own outputs: every
+/// device demotes with `OutputMismatch` after the 5 race launches alone.
+#[test]
+fn shared_corruption_demotes_every_device_on_the_race_launch() {
+    let k = staged_kernel("hrd_all_corrupt");
+    let _guard = fault::inject(FaultPlan {
+        target: FaultTarget::transformed("hrd_all_corrupt"),
+        site: FaultSite::LaunchStart,
+        kind: FaultKind::CorruptStores,
+        max_fires: 0,
+    });
+    let mut t = Tuner::new();
+    for (device, d) in t.tune_all(&k, &ALL_DEVICES, &workload()) {
+        let d = d.unwrap();
+        assert!(
+            matches!(d.fallback, Some(FallbackReason::OutputMismatch { .. })),
+            "{device}: {:?}",
+            d.fallback
+        );
+        assert!(d.cycles_with > 0 && d.cycles_without > 0, "{device}");
+    }
+    assert_eq!(t.launches_run(), 5);
+}
+
+/// An original-kernel panic on every attempt fails every device with
+/// `TuneError::Panicked`: 5 jobs plus one retry of the original's.
+#[test]
+fn shared_original_panic_fails_every_device() {
+    let k = staged_kernel("hrd_all_orig");
+    let _guard = fault::inject(FaultPlan {
+        target: FaultTarget::original("hrd_all_orig"),
+        site: FaultSite::LaunchStart,
+        kind: FaultKind::Panic,
+        max_fires: 0,
+    });
+    let mut t = Tuner::new();
+    for (device, d) in t.tune_all(&k, &ALL_DEVICES, &workload()) {
+        assert!(matches!(d, Err(TuneError::Panicked(_))), "{device}: {d:?}");
+    }
+    assert_eq!(t.launches_run(), 5 + 1);
+}
+
+/// A single transient panic in the one shared candidate job is retried
+/// once, and the retry serves all six devices: each decides exactly what
+/// a fault-free run decides.
+#[test]
+fn shared_transient_is_retried_once_for_all_its_devices() {
+    let k = staged_kernel("hrd_all_transient");
+    let w = workload();
+    let pinned = || {
+        let mut t = Tuner::new();
+        // One candidate, so the single fire must hit the shared job.
+        t.sequences = Some(vec!["local-removal,barrier-elim,index-simplify".into()]);
+        t
+    };
+    let guard = fault::inject(FaultPlan {
+        target: FaultTarget::transformed("hrd_all_transient"),
+        site: FaultSite::LaunchStart,
+        kind: FaultKind::Panic,
+        max_fires: 1,
+    });
+    let mut t = pinned();
+    let faulted = t.tune_all(&k, &ALL_DEVICES, &w);
+    assert_eq!(t.launches_run(), 2 + 1, "two jobs, one retry");
+    guard.clear();
+    let clean = pinned().tune_all(&k, &ALL_DEVICES, &w);
+    for ((device, f), (_, c)) in faulted.into_iter().zip(clean) {
+        let (f, c) = (f.unwrap(), c.unwrap());
+        assert!(f.fallback.is_none(), "{device}: {:?}", f.fallback);
+        assert_eq!(
+            (f.choice, f.cycles_with, f.cycles_without),
+            (c.choice, c.cycles_with, c.cycles_without),
+            "{device}"
+        );
+    }
 }
