@@ -7,20 +7,20 @@
 //!    through local memory starts/stops paying for AMD-MM.
 //! 3. **Work-group-size sweep** — the paper holds WG size fixed (§V-B,
 //!    citing reference \[18\] that it matters); we sweep it for NVD-MT on SNB.
+//!
+//! Wherever a study compares several models on one kernel, the kernel
+//! executes once into all of them (a [`Tee`]).
 
+use grover_bench::scale_from_env;
 use grover_core::{Grover, GroverOptions};
 use grover_devsim::profiles::snb;
-use grover_devsim::{CpuModel, Device, SimdCpuModel};
+use grover_devsim::{CpuModel, Device, SimdCpuModel, Tee};
 use grover_frontend::compile;
 use grover_kernels::{app_by_id, prepare_pair, run_prepared, Scale};
-use grover_runtime::NdRange;
+use grover_runtime::{NdRange, TraceSink};
 
 fn main() {
-    let scale = match std::env::var("GROVER_SCALE").as_deref() {
-        Ok("test") => Scale::Test,
-        Ok("paper") => Scale::Paper,
-        _ => Scale::Small,
-    };
+    let scale = scale_from_env();
     barrier_elision(scale);
     cache_sweep(scale);
     wg_sweep(scale);
@@ -41,18 +41,17 @@ fn runtime_model(scale: Scale) {
                 continue;
             }
         };
-        let scalar = |k| {
-            let mut d = CpuModel::new(snb());
-            run_prepared(k, (app.prepare)(scale), &mut d).unwrap();
-            d.finish().cycles
+        let run = |k| {
+            let mut scalar = CpuModel::new(snb());
+            let mut simd = SimdCpuModel::new(snb());
+            let sinks: &mut [&mut dyn TraceSink] = &mut [&mut scalar, &mut simd];
+            run_prepared(k, (app.prepare)(scale), &mut Tee(sinks)).unwrap();
+            (scalar.finish().cycles, simd.finish().cycles)
         };
-        let simd = |k| {
-            let mut d = SimdCpuModel::new(snb());
-            run_prepared(k, (app.prepare)(scale), &mut d).unwrap();
-            d.finish().cycles
-        };
-        let np_scalar = scalar(&pair.original) as f64 / scalar(&pair.transformed) as f64;
-        let np_simd = simd(&pair.original) as f64 / simd(&pair.transformed) as f64;
+        let (scalar_with, simd_with) = run(&pair.original);
+        let (scalar_without, simd_without) = run(&pair.transformed);
+        let np_scalar = scalar_with as f64 / scalar_without as f64;
+        let np_simd = simd_with as f64 / simd_without as f64;
         println!("{id:<11} {np_scalar:>12.3} {np_simd:>10.3}");
     }
     println!("The default harness uses the scalar model; the SIMD model shifts");
@@ -60,15 +59,19 @@ fn runtime_model(scale: Scale) {
     println!("gain/loss directions that drive Table IV are stable.\n");
 }
 
+/// Cycles of one execution of `kernel` on each of `devices`.
 fn sim_cycles(
     kernel: &grover_ir::Function,
     app: &grover_kernels::App,
     scale: Scale,
-    dev: &str,
-) -> u64 {
-    let mut d = Device::by_name(dev).expect("device");
-    run_prepared(kernel, (app.prepare)(scale), &mut d).expect("run");
-    d.finish().cycles
+    devices: &[&str],
+) -> Vec<u64> {
+    let mut models: Vec<Device> = devices
+        .iter()
+        .map(|d| Device::by_name(d).expect("device"))
+        .collect();
+    run_prepared(kernel, (app.prepare)(scale), &mut Tee(&mut models)).expect("run");
+    models.iter_mut().map(|m| m.finish().cycles).collect()
 }
 
 fn barrier_elision(scale: Scale) {
@@ -88,12 +91,13 @@ fn barrier_elision(scale: Scale) {
     })
     .run_on(&mut no_lm_keep_barrier);
 
-    for dev in ["SNB", "Nehalem", "MIC"] {
-        let with_lm = sim_cycles(&original, &app, scale, dev);
-        let without = sim_cycles(&no_lm, &app, scale, dev);
-        let without_kb = sim_cycles(&no_lm_keep_barrier, &app, scale, dev);
-        let np_full = with_lm as f64 / without as f64;
-        let np_kb = with_lm as f64 / without_kb as f64;
+    let devices = ["SNB", "Nehalem", "MIC"];
+    let with_lm = sim_cycles(&original, &app, scale, &devices);
+    let without = sim_cycles(&no_lm, &app, scale, &devices);
+    let without_kb = sim_cycles(&no_lm_keep_barrier, &app, scale, &devices);
+    for (i, dev) in devices.iter().enumerate() {
+        let np_full = with_lm[i] as f64 / without[i] as f64;
+        let np_kb = with_lm[i] as f64 / without_kb[i] as f64;
         println!(
             "{dev:<9} np(full removal) = {np_full:.3}   np(keep barrier) = {np_kb:.3}   \
              barrier share of the win: {:.0}%",
@@ -108,16 +112,30 @@ fn cache_sweep(scale: Scale) {
     let app = app_by_id("AMD-MM").unwrap();
     let pair = prepare_pair(&app, scale).unwrap();
     println!("{:<10} {:>8}", "LLC", "np");
-    for mb in [1u64, 2, 4, 8, 15, 30] {
-        let mut prof = grover_devsim::profiles::snb();
-        prof.llc.size_bytes = mb * 1024 * 1024;
-        let mut d = CpuModel::new(prof.clone());
-        run_prepared(&pair.original, (app.prepare)(scale), &mut d).unwrap();
-        let with_lm = d.finish().cycles;
-        let mut d = CpuModel::new(prof);
-        run_prepared(&pair.transformed, (app.prepare)(scale), &mut d).unwrap();
-        let without = d.finish().cycles;
-        println!("{:>6} MiB {:>8.3}", mb, with_lm as f64 / without as f64);
+    let sizes = [1u64, 2, 4, 8, 15, 30];
+    let cycles = |k| {
+        let mut models: Vec<CpuModel> = sizes
+            .iter()
+            .map(|mb| {
+                let mut prof = snb();
+                prof.llc.size_bytes = mb * 1024 * 1024;
+                CpuModel::new(prof)
+            })
+            .collect();
+        run_prepared(k, (app.prepare)(scale), &mut Tee(&mut models)).unwrap();
+        models
+            .iter_mut()
+            .map(|m| m.finish().cycles)
+            .collect::<Vec<_>>()
+    };
+    let with_lm = cycles(&pair.original);
+    let without = cycles(&pair.transformed);
+    for (i, mb) in sizes.iter().enumerate() {
+        println!(
+            "{:>6} MiB {:>8.3}",
+            mb,
+            with_lm[i] as f64 / without[i] as f64
+        );
     }
     println!();
 }

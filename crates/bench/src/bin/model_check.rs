@@ -9,10 +9,10 @@
 
 use grover_bench::scale_from_env;
 use grover_devsim::profiles::cpu_by_name;
-use grover_devsim::{AnalyticCpuModel, Device, OpCounts};
+use grover_devsim::{AnalyticCpuModel, Device, OpCounts, Tee};
 use grover_kernels::{all_apps, prepare_pair, run_prepared};
 use grover_predict::{Verdict, SIMILARITY_THRESHOLD};
-use grover_runtime::CountingSink;
+use grover_runtime::{CountingSink, TraceSink};
 
 /// How well a predicted np matched a measured one, compared as verdicts
 /// at the paper's similarity threshold.
@@ -61,23 +61,19 @@ fn main() {
                 continue;
             }
         };
-        let count = |k| {
-            let mut s = CountingSink::default();
-            let r = run_prepared(k, (app.prepare)(scale), &mut s).unwrap();
-            let _ = r;
-            let items = (app.prepare)(scale).nd.items_per_group();
-            OpCounts::from_counts(&s, items)
+        let run = |k| {
+            let mut counts = CountingSink::default();
+            let mut sim = Device::by_name(device).unwrap();
+            let prepared = (app.prepare)(scale);
+            let items = prepared.nd.items_per_group();
+            let sinks: &mut [&mut dyn TraceSink] = &mut [&mut counts, &mut sim];
+            run_prepared(k, prepared, &mut Tee(sinks)).unwrap();
+            (OpCounts::from_counts(&counts, items), sim.finish().cycles)
         };
-        let with_lm = count(&pair.original);
-        let without = count(&pair.transformed);
+        let (with_lm, sim_with) = run(&pair.original);
+        let (without, sim_without) = run(&pair.transformed);
         let model_np = model.predict_np(&with_lm, &without);
-
-        let sim = |k| {
-            let mut d = Device::by_name(device).unwrap();
-            run_prepared(k, (app.prepare)(scale), &mut d).unwrap();
-            d.finish().cycles
-        };
-        let sim_np = sim(&pair.original) as f64 / sim(&pair.transformed).max(1) as f64;
+        let sim_np = sim_with as f64 / sim_without.max(1) as f64;
 
         let a = agreement(model_np, sim_np);
         let label = match a {

@@ -14,9 +14,9 @@
 //! default `small`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 
-use grover_devsim::Device;
+use grover_devsim::{Device, Tee};
 use grover_kernels::{all_apps, app_by_id, prepare_pair, run_prepared, App, Scale};
 
 /// The normalized performance of one test case (paper §VI-B):
@@ -40,60 +40,87 @@ pub fn scale_from_env() -> Scale {
     }
 }
 
-/// Simulate one app on one device, both kernel versions, and compute np.
-pub fn normalized_performance(app: &App, device: &str, scale: Scale) -> Result<NpResult, String> {
+/// Simulate one app's two kernel versions on each of `devices` and
+/// compute np per device. Each version executes once, into a model of
+/// every device at the same time.
+pub fn normalized_performance(
+    app: &App,
+    devices: &[&str],
+    scale: Scale,
+) -> Result<Vec<NpResult>, String> {
     let pair = prepare_pair(app, scale)?;
-
-    let mut dev = Device::by_name(device).ok_or_else(|| format!("unknown device {device}"))?;
-    run_prepared(&pair.original, (app.prepare)(scale), &mut dev)
-        .map_err(|e| format!("{} original on {device}: {e}", app.id))?;
-    let with_lm = dev.finish();
-
-    let mut dev = Device::by_name(device).expect("checked");
-    run_prepared(&pair.transformed, (app.prepare)(scale), &mut dev)
-        .map_err(|e| format!("{} transformed on {device}: {e}", app.id))?;
-    let without_lm = dev.finish();
-
-    let np = with_lm.cycles as f64 / without_lm.cycles.max(1) as f64;
-    Ok(NpResult {
-        app: app.id.to_string(),
-        device: device.to_string(),
-        cycles_with: with_lm.cycles,
-        cycles_without: without_lm.cycles,
-        np,
-    })
+    let cycles = |kernel, version: &str| -> Result<Vec<u64>, String> {
+        let mut models = devices
+            .iter()
+            .map(|d| Device::by_name(d).ok_or_else(|| format!("unknown device {d}")))
+            .collect::<Result<Vec<_>, _>>()?;
+        run_prepared(kernel, (app.prepare)(scale), &mut Tee(&mut models))
+            .map_err(|e| format!("{} {version} on {}: {e}", app.id, devices.join(",")))?;
+        Ok(models.iter_mut().map(|m| m.finish().cycles).collect())
+    };
+    let with_lm = cycles(&pair.original, "original")?;
+    let without_lm = cycles(&pair.transformed, "transformed")?;
+    Ok(devices
+        .iter()
+        .zip(with_lm.into_iter().zip(without_lm))
+        .map(|(device, (cycles_with, cycles_without))| NpResult {
+            app: app.id.to_string(),
+            device: device.to_string(),
+            cycles_with,
+            cycles_without,
+            np: cycles_with as f64 / cycles_without.max(1) as f64,
+        })
+        .collect())
 }
 
-/// Run a set of `(app id, device)` cases in parallel with a scoped
-/// `std::thread` worker pool (each case owns its context and device model,
-/// so they are fully independent).
+/// Run a set of `(app id, device)` cases and return their results in case
+/// order. Each distinct app runs once ([`normalized_performance`] over
+/// every device its cases name), on a scoped `std::thread` worker pool.
 pub fn run_cases(cases: &[(String, String)], scale: Scale) -> Vec<Result<NpResult, String>> {
+    // Distinct apps in first-appearance order, each with its devices.
+    let mut apps: Vec<(&str, Vec<&str>)> = Vec::new();
+    for (app, device) in cases {
+        match apps.iter_mut().find(|(a, _)| a == app) {
+            Some((_, devices)) => devices.push(device),
+            None => apps.push((app, vec![device])),
+        }
+    }
     let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, Result<NpResult, String>)>> =
-        Mutex::new(Vec::with_capacity(cases.len()));
+    let per_app: Vec<OnceLock<Result<Vec<NpResult>, String>>> =
+        apps.iter().map(|_| OnceLock::new()).collect();
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
-        .min(cases.len().max(1));
+        .min(apps.len().max(1));
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cases.len() {
+                let Some((app_id, devices)) = apps.get(i) else {
                     break;
-                }
-                let (app_id, device) = &cases[i];
+                };
                 let r = match app_by_id(app_id) {
-                    Some(app) => normalized_performance(&app, device, scale),
+                    Some(app) => normalized_performance(&app, devices, scale),
                     None => Err(format!("unknown app {app_id}")),
                 };
-                results.lock().expect("poisoned").push((i, r));
+                per_app[i].set(r).expect("each app runs once");
             });
         }
     });
-    let mut v = results.into_inner().expect("poisoned");
-    v.sort_by_key(|(i, _)| *i);
-    v.into_iter().map(|(_, r)| r).collect()
+    cases
+        .iter()
+        .map(|(app, device)| {
+            let i = apps.iter().position(|(a, _)| a == app).expect("grouped");
+            match per_app[i].get().expect("every app ran") {
+                Ok(rs) => Ok(rs
+                    .iter()
+                    .find(|r| r.device == *device)
+                    .expect("one result per device")
+                    .clone()),
+                Err(e) => Err(e.clone()),
+            }
+        })
+        .collect()
 }
 
 /// The Fig. 10 case matrix: all 11 apps × the 3 cache-only devices.
@@ -184,24 +211,34 @@ mod tests {
     #[test]
     fn np_single_case_runs() {
         let app = app_by_id("NVD-MT").unwrap();
-        let r = normalized_performance(&app, "SNB", Scale::Test).unwrap();
+        let rs = normalized_performance(&app, &["SNB"], Scale::Test).unwrap();
+        let r = &rs[0];
         assert!(r.cycles_with > 0);
         assert!(r.cycles_without > 0);
         assert!(r.np > 0.0);
     }
 
+    /// Results come back in case order, and a case whose app shares its
+    /// executions with other devices reads what a run of its own reads.
     #[test]
     fn parallel_runner_preserves_order() {
         let cases = vec![
             ("NVD-MT".to_string(), "SNB".to_string()),
             ("ROD-SC".to_string(), "Nehalem".to_string()),
+            ("NVD-MT".to_string(), "Fermi".to_string()),
             ("AMD-SS".to_string(), "MIC".to_string()),
         ];
         let rs = run_cases(&cases, Scale::Test);
-        assert_eq!(rs.len(), 3);
-        assert_eq!(rs[0].as_ref().unwrap().app, "NVD-MT");
-        assert_eq!(rs[1].as_ref().unwrap().app, "ROD-SC");
-        assert_eq!(rs[2].as_ref().unwrap().app, "AMD-SS");
+        assert_eq!(rs.len(), cases.len());
+        for ((app, device), r) in cases.iter().zip(rs) {
+            let r = r.unwrap();
+            let alone =
+                normalized_performance(&app_by_id(app).unwrap(), &[device], Scale::Test).unwrap();
+            assert_eq!(
+                (&r.app, &r.device, r.cycles_with, r.cycles_without),
+                (app, device, alone[0].cycles_with, alone[0].cycles_without)
+            );
+        }
     }
 
     #[test]

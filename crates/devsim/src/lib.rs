@@ -145,6 +145,39 @@ impl TraceSink for Device {
     }
 }
 
+/// Forwards every trace callback to each of a set of sinks, usually
+/// device models, so one kernel execution drives them all. A launch's
+/// access stream does not depend on the device, so each model ends in the
+/// state an execution of its own would have left it in. Sinks of
+/// different types go in as `[&mut dyn TraceSink]`.
+pub struct Tee<'a, S>(pub &'a mut [S]);
+
+impl<S: TraceSink> TraceSink for Tee<'_, S> {
+    fn access(&mut self, ev: &AccessEvent) {
+        for m in self.0.iter_mut() {
+            m.access(ev);
+        }
+    }
+
+    fn barrier(&mut self, group: u32, items: u32) {
+        for m in self.0.iter_mut() {
+            m.barrier(group, items);
+        }
+    }
+
+    fn workitem_done(&mut self, group: u32, local: u32, instructions: u64) {
+        for m in self.0.iter_mut() {
+            m.workitem_done(group, local, instructions);
+        }
+    }
+
+    fn workgroup_done(&mut self, group: u32) {
+        for m in self.0.iter_mut() {
+            m.workgroup_done(group);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,6 +237,23 @@ mod tests {
             m.finish()
         };
         assert_eq!(simd(), simd());
+    }
+
+    #[test]
+    fn tee_reports_what_separate_launches_report() {
+        let alone = |device: &str| {
+            let mut d = Device::by_name(device).unwrap();
+            scattered_launch(&mut d);
+            d.finish()
+        };
+        let mut models: Vec<Device> = ALL_DEVICES
+            .iter()
+            .map(|n| Device::by_name(n).unwrap())
+            .collect();
+        scattered_launch(&mut Tee(&mut models));
+        for (name, m) in ALL_DEVICES.iter().zip(&mut models) {
+            assert_eq!(m.finish(), alone(name), "{name}");
+        }
     }
 
     #[test]

@@ -69,6 +69,30 @@ pub trait TraceSink {
     }
 }
 
+/// A borrowed sink is a sink, so sinks of different types can sit side by
+/// side in one `[&mut dyn TraceSink]`.
+impl<T: TraceSink + ?Sized> TraceSink for &mut T {
+    fn access(&mut self, ev: &AccessEvent) {
+        (**self).access(ev);
+    }
+
+    fn barrier(&mut self, group: u32, items: u32) {
+        (**self).barrier(group, items);
+    }
+
+    fn workitem_done(&mut self, group: u32, local: u32, instructions: u64) {
+        (**self).workitem_done(group, local, instructions);
+    }
+
+    fn workgroup_done(&mut self, group: u32) {
+        (**self).workgroup_done(group);
+    }
+
+    fn wants_events(&self) -> bool {
+        (**self).wants_events()
+    }
+}
+
 /// Discards everything (functional runs).
 #[derive(Default)]
 pub struct NullSink;

@@ -193,8 +193,9 @@ pub struct Metrics {
     pub tune_races: Arc<Counter>,
     /// Individual kernel launches the tuner executed (race measurements,
     /// retries, differential-output verification runs). A predict-hit
-    /// request performs none — `serve_load --predict` asserts this stays
-    /// flat across a predicted run.
+    /// request performs none — the test
+    /// `load::concurrent_predicts_all_hit_with_flat_launch_counters`
+    /// asserts this stays flat across 80 concurrent predict hits.
     pub launches: Arc<Counter>,
     /// `POST /v1/predict` requests.
     pub predict_requests: Arc<Counter>,

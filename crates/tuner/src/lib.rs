@@ -50,7 +50,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use grover_core::{apply_sequence, GroverOptions, GroverReport, Sequence};
-use grover_devsim::{is_device, Device};
+use grover_devsim::{is_device, Device, Tee};
 use grover_ir::Function;
 use grover_obs::json::{Json, Obj};
 use grover_obs::{NoopRecorder, Recorder, SpanId, Value};
@@ -59,8 +59,7 @@ use grover_predict::{
     Verdict, SIMILARITY_THRESHOLD,
 };
 use grover_runtime::{
-    enqueue_observed, AccessEvent, ArgValue, Backend, BufferData, Context, ExecError, Limits,
-    NdRange, TraceSink,
+    enqueue_observed, ArgValue, Backend, BufferData, Context, ExecError, Limits, NdRange,
 };
 
 /// Why a tuning run was demoted to the original kernel regardless of the
@@ -507,10 +506,10 @@ impl Tuner {
     /// differential-output guard adds none (it compares the race's own
     /// outputs). With the seeded sets a [`Tuner::tune`] costs 4 and a
     /// [`Tuner::tune_all`] over the six paper devices 5. A predicted
-    /// decision performs none; callers (the `grover-serve`
-    /// `grover_serve_launches_total` metric, the `serve_load --predict`
-    /// scenario) use this to *prove* the zero-launch property rather than
-    /// assert it.
+    /// decision performs none; the `grover-serve`
+    /// `grover_serve_launches_total` metric accumulates this, and the serve
+    /// test `load::concurrent_predicts_all_hit_with_flat_launch_counters`
+    /// uses it to *prove* the zero-launch property rather than assert it.
     pub fn launches_run(&self) -> u64 {
         self.launches
     }
@@ -1156,36 +1155,6 @@ impl Exec<'_> {
             cycles: models.iter_mut().map(|m| m.finish().cycles).collect(),
             ctx,
         })
-    }
-}
-
-/// Forwards every trace callback to each device model of a job, so one
-/// execution drives them all.
-struct Tee<'a>(&'a mut [Device]);
-
-impl TraceSink for Tee<'_> {
-    fn access(&mut self, ev: &AccessEvent) {
-        for m in self.0.iter_mut() {
-            m.access(ev);
-        }
-    }
-
-    fn barrier(&mut self, group: u32, items: u32) {
-        for m in self.0.iter_mut() {
-            m.barrier(group, items);
-        }
-    }
-
-    fn workitem_done(&mut self, group: u32, local: u32, instructions: u64) {
-        for m in self.0.iter_mut() {
-            m.workitem_done(group, local, instructions);
-        }
-    }
-
-    fn workgroup_done(&mut self, group: u32) {
-        for m in self.0.iter_mut() {
-            m.workgroup_done(group);
-        }
     }
 }
 
